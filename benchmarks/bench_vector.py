@@ -5,8 +5,8 @@ candidate space into an array — one row per assignment, one column per
 symbol — and decides every vectorizable conjunct for thousands of rows
 with a handful of numpy operations; only surviving rows see a scalar
 closure call.  This benchmark quantifies that batch win on search
-workloads shaped like the solver's bounded fallbacks, and the cube-wave
-prefilter's share on DNF waves:
+workloads shaped like the solver's bounded fallbacks, and checks the cube
+solver's bound-box refutation on an engineered DNF wave:
 
 * **batch search speedup** — ``bounded_model_search`` on the vector
   backend versus the compiled backend (identical queries, identical
@@ -15,8 +15,10 @@ prefilter's share on DNF waves:
   ``bench_vector.json`` baseline;
 * **row throughput** — vector-mask rows evaluated per second, and the
   batch-size distribution behind it;
-* **cube-wave prefilter** — the share of a DNF wave's cubes settled
-  UNSAT by the stacked coefficient matrix before any per-cube solving.
+* **cube-wave refutation** — the share of a DNF wave's cubes the cube
+  solver refutes by its bound box before any case split or
+  Fourier–Motzkin step (``SolverStatistics.prefiltered_cubes``), which
+  must be the same on the vector and compiled backends.
 
 Skipped entirely when numpy is absent (``pip install .[vec]``).
 
@@ -113,21 +115,21 @@ def test_vector_batch_search_speedup(capsys):
     )
     mean_batch_rows = counters["rows_evaluated"] / max(1, counters["batches"])
 
-    # -- cube-wave prefilter -------------------------------------------------
+    # -- cube-wave refutation -------------------------------------------------
     wave = _cube_wave()
-    reset_vector_stats()
     with use_backend("vector"):
         solver = Solver()
         wave_result = solver.check_sat(wave)
-    wave_counters = vector_stats()
     assert wave_result.status is Status.SAT
     with use_backend("compiled"):
-        compiled_wave = Solver().check_sat(wave)
+        compiled_solver = Solver()
+        compiled_wave = compiled_solver.check_sat(wave)
     assert compiled_wave.status is Status.SAT
     assert compiled_wave.model == wave_result.model
-    prefilter_rate = wave_counters["prefilter_unsat"] / max(
-        1, wave_counters["prefilter_cubes"]
-    )
+    wave_cubes = solver.statistics.cube_count
+    prefiltered = solver.statistics.prefiltered_cubes
+    assert compiled_solver.statistics.prefiltered_cubes == prefiltered
+    prefilter_rate = prefiltered / max(1, wave_cubes)
 
     payload = {
         "experiment": "E12-vector-backend",
@@ -141,9 +143,9 @@ def test_vector_batch_search_speedup(capsys):
         "mean_batch_rows": mean_batch_rows,
         "rows_per_second": rows_per_second,
         "scalar_fallback_searches": counters["scalar_fallbacks"],
-        "prefilter_cubes": wave_counters["prefilter_cubes"],
-        "prefilter_unsat": wave_counters["prefilter_unsat"],
-        "prefilter_unsat_rate": prefilter_rate,
+        "wave_cubes": wave_cubes,
+        "wave_prefiltered_cubes": prefiltered,
+        "wave_prefiltered_rate": prefilter_rate,
     }
     output_path = os.path.join(os.path.dirname(__file__), "bench_vector.fresh.json")
     with open(output_path, "w", encoding="utf-8") as handle:
@@ -156,13 +158,12 @@ def test_vector_batch_search_speedup(capsys):
               f"{vector_seconds:.3f}s vector ({speedup:.1f}x)")
         print(f"row throughput: {rows_per_second:,.0f} rows/s "
               f"(mean batch {mean_batch_rows:,.0f} rows)")
-        print(f"cube prefilter: {wave_counters['prefilter_unsat']}/"
-              f"{wave_counters['prefilter_cubes']} cubes settled UNSAT "
-              f"({prefilter_rate:.0%})")
+        print(f"cube bound box: {prefiltered}/{wave_cubes} cubes refuted "
+              f"({prefilter_rate:.0%}, same on compiled)")
 
     # Acceptance bars: the batch path must beat the scalar closures
-    # outright on this row-dominated workload, and the prefilter must
-    # settle the engineered infeasible wave.
+    # outright on this row-dominated workload, and the bound box must
+    # refute most of the engineered infeasible wave.
     assert speedup >= 1.5, f"vector speedup {speedup:.2f}x below the 1.5x bar"
     assert counters["rows_evaluated"] > 0
     assert prefilter_rate >= 0.5

@@ -55,13 +55,13 @@ KEY_METRICS: Dict[str, List[str]] = {
         "bounded_search_microbench.speedup_vs_tree",
         "bounded_search_microbench.assignments_per_second",
         "bounded_search_microbench.vector.speedup_vs_compiled",
-        "corpus_backend.prefilter_unsat",
+        "solver.prefiltered_cubes",
     ],
     "bench_vector.json": [
         "speedup_vs_compiled",
         "rows_per_second",
         "mean_batch_rows",
-        "prefilter_unsat_rate",
+        "wave_prefiltered_rate",
     ],
     "bench_telemetry.json": [
         "disabled_overhead_fraction",

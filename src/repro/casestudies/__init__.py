@@ -33,8 +33,6 @@ verification (``verify``) and dynamic differential simulation
 (``simulate``) against its substrate.
 """
 
-import warnings
-
 from . import base, registry, spec
 from .base import CaseStudy, SimulationRecord, SimulationSummary
 from .registry import (
@@ -66,18 +64,6 @@ from .water import WaterParallelization
 
 #: Alias kept for the pre-registry API; prefer :func:`get_case_study`.
 resolve_case_study = get_case_study
-
-
-def __getattr__(name):
-    if name == "ALL_CASE_STUDIES":
-        warnings.warn(
-            "ALL_CASE_STUDIES is deprecated; use "
-            "repro.casestudies.all_case_studies()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return all_case_studies()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

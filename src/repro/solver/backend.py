@@ -1,7 +1,8 @@
 """Evaluation-backend selection for the solver's batch-oriented hot paths.
 
-The bounded model search, the DNF cube loop and the Monte Carlo scorer can
-each run on one of three interchangeable evaluation backends:
+The bounded model search and the Monte Carlo scorer can each run on one of
+three interchangeable evaluation backends (the DNF cube loop is pure Python
+on all three):
 
 ``tree``
     The recursive tree walker (:func:`repro.logic.evaluate.evaluate`),

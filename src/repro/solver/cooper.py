@@ -48,7 +48,7 @@ from ..logic.formula import (
     disj,
     neg,
 )
-from .linear import LinearTerm, NonLinearError, linearize
+from .linear import LinearTerm, NonLinearError, atom_difference, linearize
 from .normalize import to_nnf
 
 
@@ -76,7 +76,7 @@ def _canonicalize_atom(formula: Formula, symbol: Symbol) -> Formula:
     """Rewrite an atom so that, if it mentions ``symbol``, it is a strict
     ``0 < t`` inequality or a (possibly negated) divisibility atom."""
     if isinstance(formula, Atom):
-        lin = linearize(formula.left).subtract(linearize(formula.right))
+        lin = atom_difference(formula)
         if lin.coefficient(symbol) == 0:
             return formula
         rel = formula.rel
@@ -104,11 +104,6 @@ def _lt_atom(term: LinearTerm) -> Formula:
     return Atom(Rel.LT, Const(0), term.to_term())
 
 
-def _atom_linear(formula: Atom) -> LinearTerm:
-    """For a canonical ``0 < t`` atom, return ``t`` as a linear term."""
-    return linearize(formula.right).subtract(linearize(formula.left))
-
-
 def _walk_canonical(formula: Formula, symbol: Symbol, handler) -> Formula:
     """Map ``handler`` over the atoms of an NNF formula (leaves only)."""
     if isinstance(formula, (TrueF, FalseF)):
@@ -133,7 +128,7 @@ def _coefficient_lcm(formula: Formula, symbol: Symbol) -> int:
     def visit(f: Formula) -> None:
         nonlocal result
         if isinstance(f, Atom):
-            lin = linearize(f.left).subtract(linearize(f.right))
+            lin = atom_difference(f)
             coeff = lin.coefficient(symbol)
             if coeff != 0:
                 result = _lcm(result, abs(coeff))
@@ -189,7 +184,7 @@ def _scale_to_unit(formula: Formula, symbol: Symbol, delta: int) -> Formula:
 
 def _atom_linear_any(atom: Atom) -> LinearTerm:
     """Linear form of an arbitrary canonical ``0 < t`` atom."""
-    return linearize(atom.right).subtract(linearize(atom.left))
+    return atom_difference(atom).negate()
 
 
 def _minus_infinity(formula: Formula, symbol: Symbol) -> Formula:

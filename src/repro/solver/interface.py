@@ -5,7 +5,8 @@ side conditions.  It combines the passes of this package:
 
 * compound-term elimination and Ackermann reduction of array reads,
 * NNF conversion and skolemisation of positive existentials,
-* DNF expansion and the Fourier–Motzkin / branch-and-bound cube solver,
+* DNF expansion and the cube solver (an exact bound-box refutation, then
+  Fourier–Motzkin / branch and bound), the same on every evaluation backend,
 * Cooper's quantifier elimination for formulas that retain universal
   quantifiers after skolemisation,
 * a bounded model search fallback for non-linear obligations.
@@ -34,12 +35,11 @@ from ..logic.formula import (
     free_symbols,
     neg,
 )
-from .backend import active_backend
 from .cooper import QuantifierEliminationError, eliminate_quantifiers
 from .lia import CubeSolver, Status
 from .linear import NonLinearError
 from .models import bounded_model_search
-from .vector import PREFILTER_MIN_CUBES, prefilter_unsat_cubes, vector_stats
+from .vector import vector_stats
 from .normalize import (
     FormulaTooLargeError,
     UnsupportedFormulaError,
@@ -97,13 +97,13 @@ class SolverStatistics:
     total_seconds: float = 0.0
     #: Vector-backend counters (all zero on the scalar backends): rows and
     #: batches the columnar sweeps evaluated, searches that ran columnar,
-    #: searches that wanted the vector path but fell back to scalar, and
-    #: DNF cubes the wave prefilter discharged as UNSAT without entering
-    #: the cube solver.
+    #: and searches that wanted the vector path but fell back to scalar.
     vector_rows: int = 0
     vector_batches: int = 0
     vector_searches: int = 0
     vector_fallbacks: int = 0
+    #: DNF cubes the cube solver's bound box refuted before any case split
+    #: or Fourier–Motzkin step (on every backend).
     prefiltered_cubes: int = 0
     #: Wall-clock seconds attributed to each portfolio strategy (the
     #: serial engine path books under ``"serial"``).  ``total_seconds``
@@ -265,29 +265,14 @@ class Solver:
         except FormulaTooLargeError as error:
             return self._fallback(formula, str(error))
 
-        # Vector backend: decide the whole cube wave's linear content as one
-        # stacked coefficient matrix first.  Prefiltered entries are *proofs*
-        # of integer infeasibility, so skipping their cube-solver runs can
-        # never change a SAT answer (the first SAT cube and its model are
-        # untouched) — it can only turn a budget-exhausted UNKNOWN on an
-        # infeasible cube into the UNSAT it really is.
-        prefiltered = None
-        if len(cubes) >= PREFILTER_MIN_CUBES and active_backend() == "vector":
-            with telemetry.span("solver.vector.prefilter", cubes=len(cubes)):
-                prefiltered = prefilter_unsat_cubes(cubes)
-            if prefiltered is not None:
-                self.statistics.prefiltered_cubes += sum(prefiltered)
-
         cube_solver = CubeSolver(branch_depth=self._branch_depth)
         saw_unknown = False
         unknown_reason = ""
         cubes_solved = 0
         try:
-            for cube_index, cube in enumerate(cubes):
+            for cube in cubes:
                 self.statistics.cube_count += 1
                 cubes_solved += 1
-                if prefiltered is not None and prefiltered[cube_index]:
-                    continue  # provably UNSAT, settled by the wave prefilter
                 try:
                     result = cube_solver.solve(cube)
                 except NonLinearError as error:
@@ -304,6 +289,7 @@ class Solver:
                 return self._fallback(formula, unknown_reason)
             return SolverResult(Status.UNSAT)
         finally:
+            self.statistics.prefiltered_cubes += cube_solver.statistics["prefiltered_cubes"]
             telemetry.observe("solver.cubes_per_query", cubes_solved)
 
     def _fallback(self, formula: Formula, reason: str) -> SolverResult:

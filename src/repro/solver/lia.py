@@ -7,22 +7,27 @@ procedure is:
 1. translate literals into linear constraints over
    :class:`~repro.solver.linear.LinearTerm`: inequalities ``t <= 0``,
    equalities ``t == 0``, disequalities ``t != 0`` and (possibly negated)
-   divisibility constraints ``d | t``;
-2. split disequalities into strict inequalities (case split);
-3. eliminate divisibility constraints by residue enumeration: substitute
+   divisibility constraints ``d | t`` (each atom is linearised once per
+   process, see :func:`~repro.solver.linear.atom_difference`);
+2. refute the cube outright when its inequality and equality rows are
+   infeasible over their own unit-bound box (:func:`_bound_box_refutes`,
+   exact integers; about two thirds of the cubes the verifier meets end
+   here);
+3. split disequalities into strict inequalities (case split);
+4. eliminate divisibility constraints by residue enumeration: substitute
    ``x = L*x' + r`` for the lcm ``L`` of the relevant divisors and each
    residue ``r``, which makes the constraints ground one variable at a time;
-4. eliminate equalities that contain a unit-coefficient variable by
+5. eliminate equalities that contain a unit-coefficient variable by
    substitution (recording the eliminations for model reconstruction), and
    apply the GCD test to the rest;
-5. tighten each inequality by dividing through by the gcd of its
+6. tighten each inequality by dividing through by the gcd of its
    coefficients (integer rounding), run Fourier–Motzkin elimination (with
    the same tightening applied to derived constraints) to decide
    feasibility, and extract a sample point by back-substitution;
-6. if the sample point is fractional, branch and bound on a fractional
+7. if the sample point is fractional, branch and bound on a fractional
    variable up to a configurable depth.
 
-Steps 5–6 with integer tightening constitute a sound and, up to the
+Steps 6–7 with integer tightening constitute a sound and, up to the
 configured budgets, complete decision procedure for quantifier-free linear
 integer arithmetic cubes; when a budget is exhausted the result is
 ``UNKNOWN`` (never a wrong answer).
@@ -38,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..logic.formula import Atom, Divides, Formula, Not, Rel, Symbol
-from .linear import LinearTerm, NonLinearError, linearize
+from .linear import ONE, LinearTerm, NonLinearError, atom_difference, linearize
 
 
 class Status(enum.Enum):
@@ -70,11 +75,11 @@ class Inequality:
         content = self.term.content()
         if content <= 1:
             return self
-        coeffs = {s: c // content for s, c in self.term.coeffs}
+        coeffs = tuple([(s, c // content) for s, c in self.term.coeffs])
         # sum(c_i x_i) + k <= 0  <=>  sum(c_i/g x_i) <= -k/g
         # integer left side  =>  sum <= floor(-k/g)  <=>  sum + ceil(k/g) <= 0
-        constant = ceil(Fraction(self.term.constant, content))
-        return Inequality(LinearTerm.of(coeffs, int(constant)))
+        constant = -(-self.term.constant // content)
+        return Inequality(LinearTerm(coeffs, constant))
 
 
 @dataclass(frozen=True)
@@ -108,48 +113,116 @@ def _lcm(a: int, b: int) -> int:
     return abs(a * b) // gcd(a, b) if a and b else max(abs(a), abs(b), 1)
 
 
-def cube_inequality_rows(
-    literals: Sequence[Formula],
-) -> List[Tuple[Dict[Symbol, int], int]]:
-    """The *hard* linear content of a cube, as ``term <= 0`` rows.
+#: The translated constraint of each interned literal, as ``(list index,
+#: constraint)`` for :meth:`CubeSolver._translate`, or the message of the
+#: :class:`NonLinearError` it raised.  Constraints are immutable, so cubes
+#: share them.
+_CONSTRAINTS: Dict[Formula, object] = {}
+_INEQUALITY, _EQUALITY, _DISEQUALITY, _DIVISIBILITY = range(4)
 
-    Each row is ``(coefficients, constant)`` with the invariant that every
-    integer model of the cube satisfies ``sum(c*x) + k <= 0`` — the same
-    canonicalisation :meth:`CubeSolver._translate` applies, with
-    equalities expanded into their two one-sided rows.  Literals that
-    carry no such content (disequalities, divisibility constraints,
-    non-linear atoms) are *skipped*, which is conservative for the
-    vector backend's wave prefilter: proving the rows infeasible proves
-    the cube UNSAT regardless of what was dropped, and nothing here is
-    ever used to conclude SAT.  (:func:`repro.solver.vector.prefilter_unsat_cubes`
-    stacks these rows across a whole DNF wave into one coefficient
-    matrix.)
-    """
-    rows: List[Tuple[Dict[Symbol, int], int]] = []
-    for literal in literals:
-        if not isinstance(literal, Atom):
-            continue
-        try:
-            lin = linearize(literal.left).subtract(linearize(literal.right))
-        except NonLinearError:
-            continue
+
+def _constraint_of(literal: Formula) -> Tuple[int, object]:
+    if isinstance(literal, Atom):
+        lin = atom_difference(literal)
         rel = literal.rel
         if rel is Rel.LT:
-            rows.append((lin.as_dict(), lin.constant + 1))
-        elif rel is Rel.LE:
-            rows.append((lin.as_dict(), lin.constant))
-        elif rel is Rel.GT:
-            negated = lin.negate()
-            rows.append((negated.as_dict(), negated.constant + 1))
-        elif rel is Rel.GE:
-            negated = lin.negate()
-            rows.append((negated.as_dict(), negated.constant))
-        elif rel is Rel.EQ:
-            negated = lin.negate()
-            rows.append((lin.as_dict(), lin.constant))
-            rows.append((negated.as_dict(), negated.constant))
-        # Rel.NE carries no one-sided inequality content: skipped.
-    return rows
+            return _INEQUALITY, Inequality(lin.add(ONE))
+        if rel is Rel.LE:
+            return _INEQUALITY, Inequality(lin)
+        if rel is Rel.GT:
+            return _INEQUALITY, Inequality(lin.negate().add(ONE))
+        if rel is Rel.GE:
+            return _INEQUALITY, Inequality(lin.negate())
+        if rel is Rel.EQ:
+            return _EQUALITY, Equality(lin)
+        if rel is Rel.NE:
+            return _DISEQUALITY, lin
+        raise AssertionError(f"unhandled relation {rel}")  # pragma: no cover
+    if isinstance(literal, Divides):
+        divides, positive = literal, True
+    elif isinstance(literal, Not) and isinstance(literal.operand, Divides):
+        divides, positive = literal.operand, False
+    else:
+        raise NonLinearError(f"unsupported literal {literal}")
+    divisor = abs(divides.divisor)
+    if divisor == 0:
+        raise NonLinearError(
+            "divisibility by zero" if positive else "negated divisibility by zero"
+        )
+    return _DIVISIBILITY, Divisibility(divisor, linearize(divides.term), positive)
+
+
+def _substitute_all(term: LinearTerm, resolved: Dict[Symbol, LinearTerm]) -> LinearTerm:
+    """``term`` with every symbol in ``resolved`` replaced by its value."""
+    for symbol, _ in term.coeffs:
+        if symbol in resolved:
+            break
+    else:
+        return term
+    coeffs: Dict[Symbol, int] = {}
+    constant = term.constant
+    for symbol, coeff in term.coeffs:
+        replacement = resolved.get(symbol)
+        if replacement is None:
+            coeffs[symbol] = coeffs.get(symbol, 0) + coeff
+            continue
+        constant += coeff * replacement.constant
+        for other, other_coeff in replacement.coeffs:
+            coeffs[other] = coeffs.get(other, 0) + coeff * other_coeff
+    return LinearTerm.of(coeffs, constant)
+
+
+def _bound_box_refutes(
+    inequalities: Sequence[Inequality], equalities: Sequence[Equality]
+) -> bool:
+    """True when the cube's ``term <= 0`` rows have no integer solution by
+    bounds alone (exact integer arithmetic, no size limit).
+
+    The rows are the inequalities plus both sides of each equality.  Three
+    rules refute: a constant row with a positive constant; unit rows
+    ``c*x + k <= 0`` whose floor/ceil bounds on ``x`` cross; a wide row
+    whose minimum over the box of those bounds is still positive.  Each is
+    a proof of integer infeasibility that holds whatever the ignored
+    disequality and divisibility literals say; ``False`` means "no proof".
+    """
+    rows = [ineq.term for ineq in inequalities]
+    for equality in equalities:
+        rows.append(equality.term)
+        rows.append(equality.term.negate())
+    lower: Dict[Symbol, int] = {}
+    upper: Dict[Symbol, int] = {}
+    wide: List[LinearTerm] = []
+    for row in rows:
+        coeffs = row.coeffs
+        if not coeffs:
+            if row.constant > 0:
+                return True
+        elif len(coeffs) == 1:
+            ((symbol, coeff),) = coeffs
+            if coeff > 0:  # x <= floor(-k / c)
+                bound = -row.constant // coeff
+                if symbol not in upper or bound < upper[symbol]:
+                    upper[symbol] = bound
+            else:  # x >= ceil(k / |c|)
+                bound = -(-row.constant // -coeff)
+                if symbol not in lower or bound > lower[symbol]:
+                    lower[symbol] = bound
+        else:
+            wide.append(row)
+    for symbol, bound in upper.items():
+        if symbol in lower and lower[symbol] > bound:
+            return True
+    for row in wide:
+        minimum = row.constant
+        for symbol, coeff in row.coeffs:
+            bound = (lower if coeff > 0 else upper).get(symbol)
+            if bound is None:
+                break
+            minimum += coeff * bound
+        else:
+            if minimum > 0:
+                return True
+    return False
 
 
 class CubeSolver:
@@ -163,6 +236,7 @@ class CubeSolver:
             "branch_nodes": 0,
             "fm_eliminations": 0,
             "residue_branches": 0,
+            "prefiltered_cubes": 0,
         }
 
     # -- public API -----------------------------------------------------------
@@ -171,7 +245,17 @@ class CubeSolver:
         """Decide a cube given as a sequence of literal formulas."""
         self.statistics["cubes"] += 1
         telemetry.count("lia.cube_solves")
-        inequalities, equalities, disequalities, divisibilities = self._translate(literals)
+        inequalities, equalities, disequalities, divisibilities, error = self._translate(
+            literals
+        )
+        if _bound_box_refutes(inequalities, equalities):
+            self.statistics["prefiltered_cubes"] += 1
+            # The counter keeps the name of the numpy wave prefilter this
+            # check replaced; trace readers and the benchmark ledger key on it.
+            telemetry.count("solver.vector.prefilter.unsat_cubes")
+            return CubeResult(Status.UNSAT)
+        if error is not None:
+            raise error
         return self._solve_split(inequalities, equalities, disequalities, divisibilities)
 
     # -- literal translation ----------------------------------------------------
@@ -180,45 +264,35 @@ class CubeSolver:
         self._aux_counter += 1
         return Symbol(f"{base}_aux{self._aux_counter}")
 
-    def _translate(
-        self, literals: Sequence[Formula]
-    ) -> Tuple[List[Inequality], List[Equality], List[LinearTerm], List[Divisibility]]:
-        inequalities: List[Inequality] = []
-        equalities: List[Equality] = []
-        disequalities: List[LinearTerm] = []
-        divisibilities: List[Divisibility] = []
+    def _translate(self, literals: Sequence[Formula]) -> Tuple[
+        List[Inequality],
+        List[Equality],
+        List[LinearTerm],
+        List[Divisibility],
+        Optional[NonLinearError],
+    ]:
+        """Sort the literals into constraint lists.
+
+        A literal outside the linear fragment does not stop the translation:
+        the first such error is returned alongside the rows of the others,
+        so the bound box can still refute the cube before the error is raised.
+        """
+        lists: Tuple[list, list, list, list] = ([], [], [], [])
+        error: Optional[NonLinearError] = None
         for literal in literals:
-            if isinstance(literal, Atom):
-                lin = linearize(literal.left).subtract(linearize(literal.right))
-                rel = literal.rel
-                if rel is Rel.LT:
-                    inequalities.append(Inequality(lin.add(LinearTerm.constant_term(1))))
-                elif rel is Rel.LE:
-                    inequalities.append(Inequality(lin))
-                elif rel is Rel.GT:
-                    inequalities.append(Inequality(lin.negate().add(LinearTerm.constant_term(1))))
-                elif rel is Rel.GE:
-                    inequalities.append(Inequality(lin.negate()))
-                elif rel is Rel.EQ:
-                    equalities.append(Equality(lin))
-                elif rel is Rel.NE:
-                    disequalities.append(lin)
-                else:  # pragma: no cover - exhaustive
-                    raise AssertionError(f"unhandled relation {rel}")
-            elif isinstance(literal, Divides):
-                divisor = abs(literal.divisor)
-                if divisor == 0:
-                    raise NonLinearError("divisibility by zero")
-                divisibilities.append(Divisibility(divisor, linearize(literal.term), True))
-            elif isinstance(literal, Not) and isinstance(literal.operand, Divides):
-                divides = literal.operand
-                divisor = abs(divides.divisor)
-                if divisor == 0:
-                    raise NonLinearError("negated divisibility by zero")
-                divisibilities.append(Divisibility(divisor, linearize(divides.term), False))
-            else:
-                raise NonLinearError(f"unsupported literal {literal}")
-        return inequalities, equalities, disequalities, divisibilities
+            cached = _CONSTRAINTS.get(literal)
+            if cached is None:
+                try:
+                    cached = _constraint_of(literal)
+                except NonLinearError as failure:
+                    cached = str(failure)
+                _CONSTRAINTS[literal] = cached
+            if type(cached) is str:
+                if error is None:
+                    error = NonLinearError(cached)
+                continue
+            lists[cached[0]].append(cached[1])
+        return lists[0], lists[1], lists[2], lists[3], error
 
     # -- disequality splitting ----------------------------------------------------
 
@@ -237,8 +311,8 @@ class CubeSolver:
         saw_unknown = False
         # term != 0  <=>  term <= -1  or  -term <= -1
         for branch_term in (
-            first.add(LinearTerm.constant_term(1)),
-            first.negate().add(LinearTerm.constant_term(1)),
+            first.add(ONE),
+            first.negate().add(ONE),
         ):
             result = self._solve_split(
                 inequalities + [Inequality(branch_term)], equalities, rest, divisibilities
@@ -361,13 +435,22 @@ class CubeSolver:
             replacement = rest.negate() if unit_coeff == 1 else rest
             eliminations.append((unit_symbol, replacement))
             equalities = [
-                Equality(eq.term.substitute(unit_symbol, replacement)) for eq in equalities
-            ]
-            inequalities = [
-                Inequality(ineq.term.substitute(unit_symbol, replacement))
-                for ineq in inequalities
+                Equality(eq.term.substitute(unit_symbol, replacement))
+                if unit_symbol in eq.term.symbols()
+                else eq
+                for eq in equalities
             ]
 
+        if eliminations:
+            # Substituting every elimination into every inequality in turn
+            # equals one substitution of each eliminated symbol's fully
+            # resolved replacement (canonical LinearTerms compare equal).
+            resolved: Dict[Symbol, LinearTerm] = {}
+            for symbol, replacement in reversed(eliminations):
+                resolved[symbol] = _substitute_all(replacement, resolved)
+            inequalities = [
+                Inequality(_substitute_all(ineq.term, resolved)) for ineq in inequalities
+            ]
         result = self._solve_inequalities([ineq.tighten() for ineq in inequalities], 0)
         if result.status is not Status.SAT or result.model is None:
             return result

@@ -12,16 +12,20 @@ canonical atom forms used by Cooper's quantifier elimination:
 
 Equalities and disequalities are rewritten into strict inequalities during
 canonicalisation (over the integers ``a = b`` iff ``a < b + 1 && b < a + 1``).
+
+:func:`linearize` and :func:`atom_difference` are memoised on the interned
+formula nodes, so each term and each atom is translated once per process
+however many cubes, queries and Cooper steps mention it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from ..logic.formula import (
     Add,
+    Atom,
     Const,
     Div,
     Max,
@@ -42,21 +46,29 @@ class NonLinearError(Exception):
     """Raised when a term cannot be expressed as a linear combination."""
 
 
-@dataclass(frozen=True)
+def _symbol_order(item: Tuple[Symbol, int]):
+    return item[0].sort_key()
+
+
 class LinearTerm:
     """An integer linear combination ``sum(coeffs[s] * s) + constant``.
 
-    Coefficient maps never contain zero entries, so structural equality of
-    two :class:`LinearTerm` values coincides with semantic equality of the
-    linear functions they denote.
+    ``coeffs`` is sorted by symbol and never contains zero entries, so
+    structural equality of two :class:`LinearTerm` values coincides with
+    semantic equality of the linear functions they denote.  Values are
+    immutable; the symbol set is computed once, on first use.
     """
 
-    coeffs: Tuple[Tuple[Symbol, int], ...]
-    constant: int = 0
+    __slots__ = ("coeffs", "constant", "_symbols")
+
+    def __init__(self, coeffs: Tuple[Tuple[Symbol, int], ...], constant: int = 0) -> None:
+        self.coeffs = coeffs
+        self.constant = constant
+        self._symbols: Optional[FrozenSet[Symbol]] = None
 
     @staticmethod
     def of(coeffs: Mapping[Symbol, int], constant: int = 0) -> "LinearTerm":
-        cleaned = tuple(sorted(((s, c) for s, c in coeffs.items() if c != 0)))
+        cleaned = tuple(sorted(((s, c) for s, c in coeffs.items() if c != 0), key=_symbol_order))
         return LinearTerm(cleaned, constant)
 
     @staticmethod
@@ -69,33 +81,52 @@ class LinearTerm:
             return LinearTerm((), 0)
         return LinearTerm(((symbol, coefficient),), 0)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinearTerm):
+            return NotImplemented
+        return self.constant == other.constant and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.constant))
+
+    def __repr__(self) -> str:
+        return f"LinearTerm(coeffs={self.coeffs!r}, constant={self.constant!r})"
+
     # -- accessors -----------------------------------------------------------
 
     def coefficient(self, symbol: Symbol) -> int:
         for sym, coeff in self.coeffs:
-            if sym == symbol:
+            if sym is symbol:
                 return coeff
         return 0
 
     def symbols(self) -> FrozenSet[Symbol]:
-        return frozenset(sym for sym, _ in self.coeffs)
+        symbols = self._symbols
+        if symbols is None:
+            symbols = self._symbols = frozenset(sym for sym, _ in self.coeffs)
+        return symbols
 
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def as_dict(self) -> Dict[Symbol, int]:
-        return dict(self.coeffs)
-
     # -- arithmetic ----------------------------------------------------------
+    #
+    # negate, scale and drop keep the symbol order and never create a zero
+    # coefficient, so they build their tuples directly; only a sum of two
+    # non-constant terms goes through LinearTerm.of's filter and sort.
 
     def add(self, other: "LinearTerm") -> "LinearTerm":
-        coeffs = self.as_dict()
+        if not other.coeffs:
+            return LinearTerm(self.coeffs, self.constant + other.constant)
+        if not self.coeffs:
+            return LinearTerm(other.coeffs, self.constant + other.constant)
+        coeffs = dict(self.coeffs)
         for sym, coeff in other.coeffs:
             coeffs[sym] = coeffs.get(sym, 0) + coeff
         return LinearTerm.of(coeffs, self.constant + other.constant)
 
     def negate(self) -> "LinearTerm":
-        return LinearTerm.of({s: -c for s, c in self.coeffs}, -self.constant)
+        return LinearTerm(tuple([(s, -c) for s, c in self.coeffs]), -self.constant)
 
     def subtract(self, other: "LinearTerm") -> "LinearTerm":
         return self.add(other.negate())
@@ -103,11 +134,16 @@ class LinearTerm:
     def scale(self, factor: int) -> "LinearTerm":
         if factor == 0:
             return LinearTerm((), 0)
-        return LinearTerm.of({s: c * factor for s, c in self.coeffs}, self.constant * factor)
+        if factor == 1:
+            return self
+        return LinearTerm(
+            tuple([(s, c * factor) for s, c in self.coeffs]), self.constant * factor
+        )
 
     def drop(self, symbol: Symbol) -> "LinearTerm":
         """Remove ``symbol`` from the combination (coefficient becomes 0)."""
-        return LinearTerm.of({s: c for s, c in self.coeffs if s != symbol}, self.constant)
+        kept = tuple([item for item in self.coeffs if item[0] is not symbol])
+        return LinearTerm(kept, self.constant)
 
     def substitute(self, symbol: Symbol, replacement: "LinearTerm") -> "LinearTerm":
         """Replace ``symbol`` with another linear term."""
@@ -161,8 +197,15 @@ class LinearTerm:
         return " + ".join(parts)
 
 
-ZERO = LinearTerm((), 0)
 ONE = LinearTerm((), 1)
+
+
+#: Memoised linear forms per interned node (equality is identity, so a plain
+#: dict keyed on the node is a perfect cache, and the intern table is never
+#: cleared either).  A non-linear node maps to its error message, so every
+#: later call raises the same :class:`NonLinearError` again.
+_LINEAR: Dict[Term, object] = {}
+_DIFFERENCE: Dict[Atom, object] = {}
 
 
 def linearize(term: Term) -> LinearTerm:
@@ -171,7 +214,21 @@ def linearize(term: Term) -> LinearTerm:
     Raises :class:`NonLinearError` for products of non-constant terms,
     division/modulo, min/max, if-then-else and array reads — those must be
     eliminated by :mod:`repro.solver.normalize` before linearisation.
+    Results (and failures) are memoised per interned term node.
     """
+    cached = _LINEAR.get(term)
+    if cached is None:
+        try:
+            cached = _linearize(term)
+        except NonLinearError as error:
+            cached = str(error)
+        _LINEAR[term] = cached
+    if type(cached) is str:
+        raise NonLinearError(cached)
+    return cached  # type: ignore[return-value]
+
+
+def _linearize(term: Term) -> LinearTerm:
     if isinstance(term, Const):
         return LinearTerm.constant_term(term.value)
     if isinstance(term, SymTerm):
@@ -191,6 +248,24 @@ def linearize(term: Term) -> LinearTerm:
     if isinstance(term, (Div, Mod, Min, Max, Ite, Select, Store)):
         raise NonLinearError(f"term {term} must be eliminated before linearisation")
     raise TypeError(f"unknown term {term!r}")
+
+
+def atom_difference(atom: Atom) -> LinearTerm:
+    """``linearize(atom.left) - linearize(atom.right)``, memoised per atom.
+
+    Raises :class:`NonLinearError` (again on every call) when either side
+    is non-linear.
+    """
+    cached = _DIFFERENCE.get(atom)
+    if cached is None:
+        try:
+            cached = linearize(atom.left).subtract(linearize(atom.right))
+        except NonLinearError as error:
+            cached = str(error)
+        _DIFFERENCE[atom] = cached
+    if type(cached) is str:
+        raise NonLinearError(cached)
+    return cached  # type: ignore[return-value]
 
 
 def is_linear(term: Term) -> bool:

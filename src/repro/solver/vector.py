@@ -7,17 +7,13 @@ symbol, one row per assignment) and every **linear** conjunct of a formula
 is decided for the whole batch with a handful of numpy operations
 (coefficient × column products, elementwise comparisons, boolean folds).
 
-Three consumers:
+Two consumers:
 
 * :mod:`repro.solver.models` — the bounded model search sweeps the
   post-prune cartesian space in row chunks (:func:`candidate_columns`
   materialises a chunk in ``itertools.product`` order via mixed-radix
   index arithmetic) and uses a :class:`ConjunctPlan` to reject most rows
   in bulk before any per-row closure runs;
-* :mod:`repro.solver.interface` — :func:`prefilter_unsat_cubes` stacks
-  the linear literals of a whole DNF cube wave into one coefficient
-  matrix and discharges provably-infeasible cubes without entering the
-  Fourier–Motzkin solver;
 * :mod:`repro.explore.scoring` — :func:`columnar_sum` /
   :func:`columnar_max` aggregate Monte Carlo sample columns with
   *sequential* numpy reductions (``cumsum``), which perform the same
@@ -40,10 +36,7 @@ confirmation is a tautology).  The one observable divergence is the
 direction PR 4 documented for pruning: a row rejected in bulk is never
 evaluated scalarly, so an :class:`EvaluationError` the compiled sweep
 would have aborted on (reporting ``UNKNOWN``) can be skipped — an
-error-abort may become a conclusive ``SAT``, never the reverse.  The cube
-prefilter is similarly one-sided: it only declares a cube ``UNSAT`` when
-its linear inequality rows are infeasible over the cube's own unit-bound
-box, a proof that holds regardless of the literals it ignored.
+error-abort may become a conclusive ``SAT``, never the reverse.
 """
 
 from __future__ import annotations
@@ -79,9 +72,6 @@ _MAX_ATOM_WEIGHT = 2 ** 40
 #: Rows per batch in the chunked cartesian sweep.
 BATCH_ROWS = 4096
 
-#: Minimum cube-wave size worth stacking into a prefilter matrix.
-PREFILTER_MIN_CUBES = 8
-
 
 class VectorUnsupported(Exception):
     """The formula falls outside the vectorisable (total, linear) fragment."""
@@ -100,8 +90,6 @@ class _VectorStats:
         "batches",
         "searches",
         "scalar_fallbacks",
-        "prefilter_cubes",
-        "prefilter_unsat",
     )
 
     def __init__(self) -> None:
@@ -109,8 +97,6 @@ class _VectorStats:
         self.batches = 0
         self.searches = 0
         self.scalar_fallbacks = 0
-        self.prefilter_cubes = 0
-        self.prefilter_unsat = 0
 
 
 _VECTOR_STATS = _VectorStats()
@@ -123,8 +109,6 @@ def vector_stats() -> Dict[str, int]:
         "batches": _VECTOR_STATS.batches,
         "searches": _VECTOR_STATS.searches,
         "scalar_fallbacks": _VECTOR_STATS.scalar_fallbacks,
-        "prefilter_cubes": _VECTOR_STATS.prefilter_cubes,
-        "prefilter_unsat": _VECTOR_STATS.prefilter_unsat,
     }
 
 
@@ -144,8 +128,6 @@ def reset_vector_stats() -> None:
     _VECTOR_STATS.batches = 0
     _VECTOR_STATS.searches = 0
     _VECTOR_STATS.scalar_fallbacks = 0
-    _VECTOR_STATS.prefilter_cubes = 0
-    _VECTOR_STATS.prefilter_unsat = 0
 
 
 # ---------------------------------------------------------------------------
@@ -535,129 +517,6 @@ def candidate_columns(
     _VECTOR_STATS.rows_evaluated += n
     telemetry.observe("solver.vector.batch_rows", n)
     return cols, n
-
-
-# ---------------------------------------------------------------------------
-# DNF cube-wave prefilter
-# ---------------------------------------------------------------------------
-
-
-def prefilter_unsat_cubes(
-    cubes: Sequence[Sequence[Formula]],
-) -> Optional[Sequence[bool]]:
-    """Which cubes of a DNF wave are provably UNSAT, decided columnarly.
-
-    Every cube's *hard* linear literals (strict/non-strict inequalities
-    and equalities; disequalities and divisibility constraints are soft
-    and ignored — dropping constraints is conservative for an UNSAT
-    proof) are stacked into one ``rows × symbols`` coefficient matrix.
-    Unit rows induce integer lower/upper bounds per (cube, symbol) via
-    scattered min/max; a cube is infeasible when a bound pair crosses,
-    when a constant row is positive, or when a multi-symbol row's minimum
-    over the cube's bound box is still positive.  All three are proofs of
-    integer infeasibility, so ``True`` entries can be skipped without
-    consulting the cube solver; ``False`` means "no proof", never "SAT".
-
-    Returns ``None`` when numpy is unavailable or the wave has no linear
-    rows to reason about.
-    """
-    np = _numpy()
-    if np is None or not cubes:
-        return None
-    from .lia import cube_inequality_rows
-
-    symbol_index: Dict[Symbol, int] = {}
-    entries: List[Tuple[int, Dict[Symbol, int], int]] = []
-    for cube_id, cube in enumerate(cubes):
-        for coeffs, constant in cube_inequality_rows(cube):
-            for symbol in coeffs:
-                symbol_index.setdefault(symbol, len(symbol_index))
-            entries.append((cube_id, coeffs, constant))
-    if not entries:
-        return None
-
-    n_cubes, n_rows, n_syms = len(cubes), len(entries), len(symbol_index)
-    matrix = np.zeros((n_rows, n_syms), dtype=np.int64)
-    constants = np.zeros(n_rows, dtype=np.int64)
-    cube_ids = np.zeros(n_rows, dtype=np.int64)
-    for row, (cube_id, coeffs, constant) in enumerate(entries):
-        cube_ids[row] = cube_id
-        constants[row] = constant
-        for symbol, coeff in coeffs.items():
-            matrix[row, symbol_index[symbol]] = coeff
-    _VECTOR_STATS.prefilter_cubes += n_cubes
-
-    if (
-        int(np.abs(matrix).max(initial=0)) > _MAX_ATOM_WEIGHT
-        or int(np.abs(constants).max(initial=0)) > _MAX_ATOM_WEIGHT
-    ):
-        return None  # out of the exact-arithmetic envelope: no conclusions
-
-    infeasible = np.zeros(n_cubes, dtype=bool)
-    nonzero_counts = np.count_nonzero(matrix, axis=1)
-
-    # Constant rows: k <= 0 must hold, so k > 0 is an immediate refutation.
-    constant_rows = nonzero_counts == 0
-    if constant_rows.any():
-        bad = constant_rows & (constants > 0)
-        infeasible[cube_ids[bad]] = True
-
-    # Unit rows (c*x + k <= 0) become integer bounds on x per cube.
-    lower = np.full((n_cubes, n_syms), -np.inf)
-    upper = np.full((n_cubes, n_syms), np.inf)
-    unit_rows = np.flatnonzero(nonzero_counts == 1)
-    if unit_rows.size:
-        unit_matrix = matrix[unit_rows]
-        unit_syms = np.argmax(unit_matrix != 0, axis=1)
-        unit_coeffs = unit_matrix[np.arange(unit_rows.size), unit_syms]
-        unit_consts = constants[unit_rows]
-        unit_cubes = cube_ids[unit_rows]
-        positive = unit_coeffs > 0
-        if positive.any():
-            # c > 0: x <= floor(-k / c)
-            bounds = np.floor_divide(-unit_consts[positive], unit_coeffs[positive])
-            np.minimum.at(
-                upper,
-                (unit_cubes[positive], unit_syms[positive]),
-                bounds.astype(np.float64),
-            )
-        negative = ~positive
-        if negative.any():
-            # c < 0: x >= ceil(-k / c) = -floor(k' / |c|) with k' = -k
-            bounds = -np.floor_divide(-unit_consts[negative], -unit_coeffs[negative])
-            np.maximum.at(
-                lower,
-                (unit_cubes[negative], unit_syms[negative]),
-                bounds.astype(np.float64),
-            )
-        infeasible |= (lower > upper).any(axis=1)
-
-    # Multi-symbol rows: if the row's minimum over the cube's bound box is
-    # still positive, the row (hence the cube) has no integer solution.
-    # Unbounded symbols contribute -inf, which simply yields "no proof".
-    wide_rows = np.flatnonzero(nonzero_counts >= 2)
-    if wide_rows.size:
-        wide_matrix = matrix[wide_rows].astype(np.float64)
-        wide_lower = lower[cube_ids[wide_rows]]
-        wide_upper = upper[cube_ids[wide_rows]]
-        with np.errstate(invalid="ignore"):
-            minima = (
-                np.where(wide_matrix > 0, wide_matrix * wide_lower, 0.0).sum(axis=1)
-                + np.where(wide_matrix < 0, wide_matrix * wide_upper, 0.0).sum(axis=1)
-                + constants[wide_rows]
-            )
-        # Row values are integers, so "min > 0" is safely "min >= 0.5"
-        # (NaN from inf arithmetic compares False: no proof, as intended).
-        bad = minima >= 0.5
-        if bad.any():
-            infeasible[cube_ids[wide_rows[bad]]] = True
-
-    count = int(infeasible.sum())
-    _VECTOR_STATS.prefilter_unsat += count
-    telemetry.count("solver.vector.prefilter.calls")
-    if count:
-        telemetry.count("solver.vector.prefilter.unsat_cubes", count)
-    return infeasible.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ also consumed by the fuzz synthesizer's own property suite:
 * **formula side** — ``terms`` / ``atoms`` / ``formulas`` (with
   quantifiers) / ``array_formulas`` over a tiny name pool and finite
   evaluation ``DOMAIN``, plus the reference recursions ``ref_free`` /
-  ``ref_size`` the cached structural queries are pinned against.
+  ``ref_size`` / ``ref_linear`` the cached structural queries and the
+  memoised linearisation are pinned against;
+* **cube side** — ``cube_atoms`` / ``cubes``: small conjunctions of
+  linear literals with small coefficients, the cube solver's input.
 """
 
 from hypothesis import strategies as st
@@ -257,3 +260,52 @@ def ref_free(node, bound=frozenset()):
 
 def ref_size(node):
     return 1 + sum(ref_size(child) for child in node_children(node))
+
+
+def ref_linear(term):
+    """``(coefficients, constant)`` of a linear term, or ``None`` when the
+    term is not linear (a product of two non-constants, or min/max/...)."""
+    if isinstance(term, Const):
+        return {}, term.value
+    if isinstance(term, SymTerm):
+        return {term.symbol: 1}, 0
+    if not isinstance(term, (F.Add, F.Sub, F.Mul)):
+        return None
+    left, right = ref_linear(term.left), ref_linear(term.right)
+    if left is None or right is None:
+        return None
+    (lc, lk), (rc, rk) = left, right
+    if isinstance(term, F.Mul):
+        if lc and rc:
+            return None
+        coeffs, constant, factor = (rc, rk, lk) if not lc else (lc, lk, rk)
+        scaled = {s: c * factor for s, c in coeffs.items()}
+        return {s: c for s, c in scaled.items() if c}, constant * factor
+    sign = 1 if isinstance(term, F.Add) else -1
+    coeffs = dict(lc)
+    for s, c in rc.items():
+        coeffs[s] = coeffs.get(s, 0) + sign * c
+    return {s: c for s, c in coeffs.items() if c}, lk + sign * rk
+
+
+# ---------------------------------------------------------------------------
+# Cube side
+# ---------------------------------------------------------------------------
+
+cube_coefficients = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def cube_atoms(draw):
+    """``c1*v1 (+ c2*v2) REL k``: unit rows (bounds) and wide rows."""
+    chosen = draw(st.lists(names, min_size=1, max_size=2, unique=True))
+    left = Const(0)
+    for name in chosen:
+        left = F.Add(left, F.Mul(Const(draw(cube_coefficients)), var(name)))
+    rel = draw(st.sampled_from([F.lt, F.le, F.gt, F.ge, F.eq, F.ne]))
+    return rel(left, Const(draw(st.integers(min_value=-6, max_value=6))))
+
+
+def cubes(max_size=5):
+    """A cube: a short list of linear literals over ``NAMES``."""
+    return st.lists(cube_atoms(), min_size=1, max_size=max_size)

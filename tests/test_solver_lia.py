@@ -1,11 +1,19 @@
 """Tests for the cube solver (Fourier–Motzkin + branch-and-bound core)."""
 
+import itertools
+from unittest import mock
+
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.logic import formula as F
+from repro.logic.evaluate import Valuation, evaluate
 from repro.logic.formula import Atom, Const, Divides, Not, Rel, sym, var
+from repro.solver import lia
 from repro.solver.lia import CubeSolver, Divisibility, Inequality, Status
 from repro.solver.linear import LinearTerm, NonLinearError
+
+from strategies import NAMES, cubes
 
 
 def atom(rel, left, right):
@@ -125,3 +133,79 @@ class TestCubeSolver:
         assert result.status is Status.SAT
         model = result.model
         assert 7 * model[sym("x")] + 5 * model[sym("y")] == 41
+
+
+class TestBoundBoxRefutation:
+    """The exact bound box ``CubeSolver.solve`` runs before any case split."""
+
+    @staticmethod
+    def refuted(cube):
+        solver = CubeSolver()
+        result = solver.solve(cube)
+        return result, solver.statistics["prefiltered_cubes"] == 1
+
+    def test_positive_constant_row(self):
+        result, refuted = self.refuted([atom(Rel.LT, Const(3), Const(1))])
+        assert result.status is Status.UNSAT and refuted
+
+    def test_crossing_unit_bounds(self):
+        # 3x <= 7 gives x <= 2; -2x <= -5 gives x >= 3.
+        cube = [
+            atom(Rel.LE, var("x") * Const(3), Const(7)),
+            atom(Rel.GE, var("x") * Const(2), Const(5)),
+        ]
+        result, refuted = self.refuted(cube)
+        assert result.status is Status.UNSAT and refuted
+
+    def test_wide_row_minimum_positive(self):
+        cube = [
+            atom(Rel.GE, var("x"), Const(2)),
+            atom(Rel.GE, var("y"), Const(3)),
+            atom(Rel.LT, var("x") + var("y"), Const(5)),
+        ]
+        result, refuted = self.refuted(cube)
+        assert result.status is Status.UNSAT and refuted
+
+    def test_equality_contributes_both_sides(self):
+        cube = [atom(Rel.EQ, var("x"), Const(4)), atom(Rel.LT, var("x"), Const(4))]
+        result, refuted = self.refuted(cube)
+        assert result.status is Status.UNSAT and refuted
+
+    def test_unbounded_symbol_is_no_proof(self):
+        cube = [
+            atom(Rel.GE, var("x"), Const(2)),
+            atom(Rel.LT, var("x") + var("y"), Const(5)),
+        ]
+        result, refuted = self.refuted(cube)
+        assert result.status is Status.SAT and not refuted
+
+    def test_no_size_envelope(self):
+        # Far past int64: exact integers still refute.
+        big = 2 ** 80
+        cube = [atom(Rel.GE, var("x"), Const(big)), atom(Rel.LT, var("x"), Const(big))]
+        result, refuted = self.refuted(cube)
+        assert result.status is Status.UNSAT and refuted
+
+    def test_refutes_despite_nonlinear_literal(self):
+        # The box ignores literals it cannot translate; without a proof the
+        # translation error is still raised.
+        product = atom(Rel.EQ, var("x") * var("y"), Const(1))
+        result, refuted = self.refuted([product, atom(Rel.LT, Const(1), Const(0))])
+        assert result.status is Status.UNSAT and refuted
+        with pytest.raises(NonLinearError):
+            CubeSolver().solve([product, atom(Rel.LT, var("x"), Const(0))])
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cubes())
+    def test_refutation_is_sound(self, cube):
+        result, refuted = self.refuted(cube)
+        if not refuted:
+            return
+        assert result.status is Status.UNSAT
+        symbols = [sym(name) for name in NAMES]
+        for values in itertools.product(range(-4, 5), repeat=len(symbols)):
+            valuation = Valuation(scalars=dict(zip(symbols, values)))
+            assert not all(evaluate(literal, valuation) for literal in cube)
+        with mock.patch.object(lia, "_bound_box_refutes", return_value=False):
+            unchecked = CubeSolver().solve(cube)
+        assert unchecked.status is not Status.SAT

@@ -1,10 +1,19 @@
 """Tests for linear-term normalisation."""
 
 import pytest
+from hypothesis import given
 
 from repro.logic.formula import Const, Div, Min, Mul, Select, Symbol, var
-from repro.solver.linear import LinearTerm, NonLinearError, is_linear, linearize
+from repro.solver.linear import (
+    LinearTerm,
+    NonLinearError,
+    atom_difference,
+    is_linear,
+    linearize,
+)
 from repro.logic.formula import sym
+
+from strategies import atoms, ref_linear, terms
 
 
 class TestLinearTerm:
@@ -76,3 +85,41 @@ class TestLinearize:
 
     def test_is_linear_true(self):
         assert is_linear(var("x") + 4 * var("y"))
+
+
+def _error_message(call, node):
+    with pytest.raises(NonLinearError) as caught:
+        call(node)
+    return str(caught.value)
+
+
+class TestMemoisedLinearisation:
+    """``linearize`` and ``atom_difference`` are memoised on interned nodes."""
+
+    @given(terms(depth=2))
+    def test_linearize_matches_reference(self, term):
+        expected = ref_linear(term)
+        if expected is None:
+            first = _error_message(linearize, term)
+            assert _error_message(linearize, term) == first
+            return
+        coeffs, constant = expected
+        assert linearize(term) == LinearTerm.of(coeffs, constant)
+        assert linearize(term) is linearize(term)
+
+    @given(atoms())
+    def test_atom_difference_matches_fresh_subtraction(self, atom):
+        left, right = ref_linear(atom.left), ref_linear(atom.right)
+        if left is None or right is None:
+            first = _error_message(atom_difference, atom)
+            assert _error_message(atom_difference, atom) == first
+            return
+        fresh = LinearTerm.of(left[0], left[1]).subtract(LinearTerm.of(right[0], right[1]))
+        assert atom_difference(atom) == fresh
+        assert atom_difference(atom) is atom_difference(atom)
+
+    def test_nonlinear_message_is_stable(self):
+        product = Mul(var("x"), var("y"))
+        first = _error_message(linearize, product)
+        assert "non-linear product" in first
+        assert _error_message(linearize, product) == first

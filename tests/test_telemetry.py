@@ -372,7 +372,7 @@ class TestEngineIntegration:
         ]
         assert worker_records, "jobs=2 must produce worker-process spans"
         for record in worker_records:
-            assert record.name in ("discharge", "strategy", "solver.vector.prefilter")
+            assert record.name in ("discharge", "strategy")
             parent = by_id[record.parent_id]
             if parent.pid == os.getpid():
                 assert parent.name == "dispatch"
