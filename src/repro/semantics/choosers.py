@@ -24,9 +24,10 @@ the interpreter then produces the ``wr`` outcome as required by the
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..lang.ast import BoolExpr, Havoc, Relax, Stmt
 from ..lang.analysis import bool_vars
@@ -47,63 +48,114 @@ class ChooserError(Exception):
     array target with a predicate that constrains the array contents)."""
 
 
-def _predicate_formula(statement, state: State) -> Tuple[Formula, List[Symbol]]:
-    """Build the satisfiability query for a havoc/relax statement.
+class PredicateQuery:
+    """The state-independent half of a havoc/relax query, built once per predicate.
 
-    Returns the predicate formula with non-target variables fixed to their
-    current values, together with the target symbols (the unknowns).
+    ``formula`` is the predicate's logic translation, ``variables`` the
+    program variables it reads and ``names`` those variables sorted.  None
+    of them depends on the state, so :func:`predicate_query` memoises them
+    on the predicate node and every later choice at the same statement
+    starts from a lookup instead of a re-translation.
     """
-    predicate: BoolExpr = statement.predicate
-    targets = set(statement.targets)
-    formula = formula_of_bool(predicate)
-    fixes: List[Formula] = []
-    for name in sorted(bool_vars(predicate)):
+
+    __slots__ = ("predicate", "formula", "variables", "names")
+
+    def __init__(self, predicate: BoolExpr) -> None:
+        self.predicate = predicate
+        self.formula: Formula = formula_of_bool(predicate)
+        self.variables: FrozenSet[str] = bool_vars(predicate)
+        self.names: Tuple[str, ...] = tuple(sorted(self.variables))
+
+
+# Program AST nodes are frozen dataclasses with structural equality, so the
+# memo is keyed by identity (like the interpreter's compiled-expression
+# caches); each entry holds its predicate, which pins the id while cached.
+_QUERY_CACHE: Dict[int, PredicateQuery] = {}
+
+#: Flush threshold, the same bound as the interpreter's compiled-expression
+#: caches: overflowing clears the memo (rebuilding an entry is cheap).
+_QUERY_CACHE_LIMIT = 65_536
+
+
+def predicate_query(predicate: BoolExpr) -> PredicateQuery:
+    """The memoised :class:`PredicateQuery` of a havoc/relax predicate node."""
+    query = _QUERY_CACHE.get(id(predicate))
+    if query is None:
+        if len(_QUERY_CACHE) >= _QUERY_CACHE_LIMIT:
+            _QUERY_CACHE.clear()
+        query = _QUERY_CACHE[id(predicate)] = PredicateQuery(predicate)
+    return query
+
+
+def _fixed_values(statement, state: State, query: PredicateQuery) -> List[Tuple[str, int]]:
+    """The current value of every non-target scalar the predicate reads.
+
+    Raises :class:`ChooserError` when the predicate reads a non-target array.
+    """
+    targets = statement.targets
+    fixed: List[Tuple[str, int]] = []
+    for name in query.names:
         if name in targets:
             continue
         if state.has_scalar(name):
-            fixes.append(eq(SymTerm(Symbol(name)), Const(state.scalar(name))))
+            fixed.append((name, state.scalar(name)))
         elif state.has_array(name):
             raise ChooserError(
                 f"predicate of {statement} reads array {name!r}; array-valued "
                 "havoc/relax predicates must not constrain array contents"
             )
-    unknowns = [Symbol(name) for name in statement.targets if not state.has_array(name)]
-    return conj(formula, *fixes), unknowns
+    return fixed
 
 
-def _candidate_values_map(
-    statement, state: State, radius: int, max_candidates: int = 200
-) -> Dict[Symbol, List[int]]:
-    """Candidate values per free symbol of a havoc/relax predicate query.
+def _fix(name: str, value: int) -> Formula:
+    return eq(SymTerm(Symbol(name)), Const(value))
 
-    Non-target variables are pinned to their current value.  Target variables
-    get a candidate list centred around every scalar value currently in the
-    state (plus zero), widened by ``radius`` in each direction — so a
-    predicate such as ``y - e <= x <= y + e`` finds witnesses near ``y`` even
-    when ``y`` is far from zero.
+
+def _fixed_formula(statement, state: State) -> Formula:
+    """The predicate with every non-target variable fixed to its current value.
+
+    This is the query for :class:`SolverChooser`, which has no candidate
+    lists to pin the non-targets with.
     """
-    targets = set(statement.targets)
-    centres = sorted(set(list(state.scalar_map().values()) + [0]))
-    spread: List[int] = []
-    for centre in centres:
-        for delta in range(-radius, radius + 1):
-            value = centre + delta
-            if value not in spread:
-                spread.append(value)
-            if len(spread) >= max_candidates:
-                break
-        if len(spread) >= max_candidates:
-            break
+    query = predicate_query(statement.predicate)
+    fixes = [_fix(name, value) for name, value in _fixed_values(statement, state, query)]
+    return conj(query.formula, *fixes)
+
+
+def choice_query(
+    statement, state: State, radius: int, max_candidates: int = 200
+) -> Tuple[Formula, Dict[Symbol, List[int]]]:
+    """The enumeration query of a havoc/relax statement: formula and candidates.
+
+    Non-target variables are pinned by a one-value candidate list instead of
+    an ``x == value`` conjunct, so the formula is the interned predicate
+    itself and its search plan is reused from state to state; both forms
+    admit the same models in the same order, because a fix conjunct holds
+    at the pinned value and cannot raise.  A scalar shadowed by an array of
+    the same name gets no candidate list, so it keeps its conjunct.
+
+    Target variables range over windows of ``radius`` around every scalar
+    value in the state (plus zero), so a predicate such as
+    ``y - e <= x <= y + e`` finds witnesses near ``y`` even when ``y`` is
+    far from zero.
+    """
+    query = predicate_query(statement.predicate)
+    fixed = _fixed_values(statement, state, query)
+    centres = sorted(set(state.scalar_map().values()) | {0})
+    windows = (range(centre - radius, centre + radius + 1) for centre in centres)
+    spread = list(dict.fromkeys(itertools.chain.from_iterable(windows)))[:max_candidates]
     spread.sort(key=abs)
     candidates: Dict[Symbol, List[int]] = {}
-    for name in sorted(bool_vars(statement.predicate) | targets):
+    for name in statement.targets:
+        if not state.has_array(name):
+            candidates[Symbol(name)] = spread
+    fixes: List[Formula] = []
+    for name, value in fixed:
         if state.has_array(name):
-            continue
-        if name in targets:
-            candidates[Symbol(name)] = list(spread)
-        elif state.has_scalar(name):
-            candidates[Symbol(name)] = [state.scalar(name)]
-    return candidates
+            fixes.append(_fix(name, value))
+        else:
+            candidates[Symbol(name)] = [value]
+    return conj(query.formula, *fixes), candidates
 
 
 def _scalar_targets(statement, state: State) -> List[str]:
@@ -116,7 +168,7 @@ def _array_targets(statement, state: State) -> List[str]:
 
 def _check_array_targets_unconstrained(statement, state: State) -> None:
     """Array targets are only supported with predicates that do not read them."""
-    predicate_vars = bool_vars(statement.predicate)
+    predicate_vars = predicate_query(statement.predicate).variables
     for name in _array_targets(statement, state):
         if name in predicate_vars:
             raise ChooserError(
@@ -145,8 +197,7 @@ class SolverChooser(Chooser):
 
     def choose(self, statement, state: State) -> Optional[State]:
         _check_array_targets_unconstrained(statement, state)
-        formula, unknowns = _predicate_formula(statement, state)
-        result = self._solver.check_sat(formula)
+        result = self._solver.check_sat(_fixed_formula(statement, state))
         if not result.is_sat:
             return None
         model = result.model or {}
@@ -176,7 +227,7 @@ class MinimalChangeChooser(Chooser):
                 valuation = Valuation(
                     scalars={Symbol(k): v for k, v in state.scalar_map().items()}
                 )
-                formula = formula_of_bool(statement.predicate)
+                formula = predicate_query(statement.predicate).formula
                 if evaluate_formula(formula, valuation, domain=None):
                     return state
         except EvaluationError:
@@ -195,8 +246,7 @@ class RandomChooser(Chooser):
 
     def choose(self, statement, state: State) -> Optional[State]:
         _check_array_targets_unconstrained(statement, state)
-        formula, unknowns = _predicate_formula(statement, state)
-        candidates = _candidate_values_map(statement, state, self._radius)
+        formula, candidates = choice_query(statement, state, self._radius)
         models = enumerate_models(
             formula, radius=self._radius, limit=self._limit, candidates=candidates
         )
@@ -242,17 +292,17 @@ class AdversarialChooser(Chooser):
 
     def choose(self, statement, state: State) -> Optional[State]:
         _check_array_targets_unconstrained(statement, state)
-        formula, _unknowns = _predicate_formula(statement, state)
-        candidates = _candidate_values_map(statement, state, self._radius)
+        formula, candidates = choice_query(statement, state, self._radius)
         models = enumerate_models(
             formula, radius=self._radius, limit=self._limit, candidates=candidates
         )
         if not models:
             return self._fallback.choose(statement, state)
         targets = _scalar_targets(statement, state)
+        symbols = [Symbol(name) for name in targets]
 
         def score(model: Dict[Symbol, int]) -> int:
-            return sum(abs(model.get(Symbol(name), 0)) for name in targets)
+            return sum(abs(model.get(symbol, 0)) for symbol in symbols)
 
         scores = [score(model) for model in models]
         best = max(scores) if self._maximize else min(scores)
@@ -302,7 +352,7 @@ class FixedChoiceChooser(Chooser):
                 scalars={Symbol(k): v for k, v in new_state.scalar_map().items()},
                 arrays={Symbol(k): dict(v) for k, v in new_state.array_map().items()},
             )
-            formula = formula_of_bool(statement.predicate)
+            formula = predicate_query(statement.predicate).formula
             if not evaluate_formula(formula, valuation, domain=None):
                 if self._strict:
                     raise ChooserError(

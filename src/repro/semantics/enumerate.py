@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..lang.analysis import bool_vars
 from ..lang.ast import (
     ArrayAssign,
     Assert,
@@ -38,7 +37,7 @@ from ..lang.ast import (
 from ..logic.formula import Symbol
 from ..logic.traverse import TypeDispatcher
 from ..solver.models import enumerate_models
-from .choosers import _candidate_values_map, _predicate_formula
+from .choosers import choice_query, predicate_query
 from .interpreter import ExpressionError, eval_bool, eval_expr
 from .state import (
     Observation,
@@ -233,12 +232,11 @@ def _run_havoc(
     state = execution.state
     scalar_targets = [name for name in stmt.targets if not state.has_array(name)]
     array_targets = [name for name in stmt.targets if state.has_array(name)]
-    predicate_reads = bool_vars(stmt.predicate)
+    predicate_reads = predicate_query(stmt.predicate).variables
 
     scalar_choices: List[Dict[str, int]]
     if scalar_targets:
-        formula, _unknowns = _predicate_formula(stmt, state)
-        candidates = _candidate_values_map(stmt, state, config.value_radius)
+        formula, candidates = choice_query(stmt, state, config.value_radius)
         models = enumerate_models(
             formula,
             radius=config.value_radius,

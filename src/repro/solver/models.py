@@ -326,7 +326,7 @@ def _prune_values(
 
 
 def _assignment_checker(
-    formula: Formula, conjuncts: Sequence[Formula]
+    formula: Formula, conjuncts: Sequence[Formula], backend: str
 ) -> Callable[[Dict[Symbol, int], Optional[Sequence[int]]], bool]:
     """A compiled cheap-conjuncts-first satisfaction check for ``formula``.
 
@@ -346,7 +346,7 @@ def _assignment_checker(
     operand order — the semantic reference the differential suite compares
     the compiled and vector backends against.
     """
-    if active_backend() == "tree":
+    if backend == "tree":
 
         def tree_check(scalars: Dict[Symbol, int], domain: Optional[Sequence[int]]) -> bool:
             return evaluate(formula, Valuation(scalars=dict(scalars)), domain)
@@ -378,8 +378,50 @@ def _assignment_checker(
 # ---------------------------------------------------------------------------
 
 
+class _SearchPlan:
+    """The state-independent part of a model search over one formula.
+
+    The sorted free symbols, the assignment checker, the unit constraints
+    and (under the ``vector`` backend) the batch-evaluation split of the
+    top-level conjuncts depend only on the formula and the active backend,
+    so :func:`_search_plan` builds them once per interned formula and
+    backend.  Everything that depends on the candidate values (pruning,
+    the magnitude guard) and every search counter stays per call.
+    """
+
+    __slots__ = ("symbols", "check", "constraints", "vector")
+
+    def __init__(self, formula: Formula, backend: str) -> None:
+        conjuncts = _flatten_conjuncts(formula)
+        self.symbols = sorted(free_symbols(formula))
+        self.check = _assignment_checker(formula, conjuncts, backend)
+        self.constraints = _unit_constraints(conjuncts)
+        self.vector = vector.plan_conjuncts(conjuncts) if backend == "vector" else None
+
+
+# Formulas are interned, so the cache is keyed by the node itself; the
+# backend is part of the key because it selects the checker.
+_PLANS: Dict[Tuple[Formula, str], _SearchPlan] = {}
+
+#: Flush threshold: overflowing clears the cache (plans rebuild cheaply; the
+#: compiled closures they hold stay memoised on the formula nodes).
+_PLAN_CACHE_LIMIT = 4096
+
+
+def _search_plan(formula: Formula) -> _SearchPlan:
+    """The memoised :class:`_SearchPlan` of ``formula`` under the active backend."""
+    key = (formula, active_backend())
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _SearchPlan(formula, key[1])
+        if len(_PLANS) >= _PLAN_CACHE_LIMIT:
+            _PLANS.clear()
+        _PLANS[key] = plan
+    return plan
+
+
 def _vector_plan(
-    conjuncts: Sequence[Formula],
+    plan: _SearchPlan,
     pruned: Sequence[Sequence[int]],
     domain: Sequence[int],
 ):
@@ -391,18 +433,13 @@ def _vector_plan(
     """
     if active_backend() != "vector":
         return None
-    if not vector.values_vectorizable(pruned, domain):
-        telemetry.count("solver.backend.vector.scalar_fallbacks")
-        vector.note_scalar_fallback()
-        return None
-    plan = vector.plan_conjuncts(conjuncts)
-    if plan is None:
+    if not vector.values_vectorizable(pruned, domain) or plan.vector is None:
         telemetry.count("solver.backend.vector.scalar_fallbacks")
         vector.note_scalar_fallback()
         return None
     vector.note_search()
     telemetry.count("solver.backend.vector.searches")
-    return plan
+    return plan.vector
 
 
 def _vector_model_search(
@@ -527,7 +564,6 @@ def _bounded_model_search(
 ) -> Optional[Dict[Symbol, int]]:
     if formula_arrays(formula):
         return None
-    symbols = sorted(free_symbols(formula))
     domain = range(-quantifier_domain_radius, quantifier_domain_radius + 1)
     # Scale the assignment budget by the per-assignment evaluation cost:
     # quantified formulas evaluate their bodies once per domain element
@@ -543,8 +579,8 @@ def _bounded_model_search(
         return None
     _SEARCH_STATS.searches += 1
     telemetry.count("solver.bounded_search.searches")
-    conjuncts = _flatten_conjuncts(formula)
-    check = _assignment_checker(formula, conjuncts)
+    plan = _search_plan(formula)
+    symbols, check = plan.symbols, plan.check
     if not symbols:
         try:
             _SEARCH_STATS.assignments_evaluated += 1
@@ -555,13 +591,13 @@ def _bounded_model_search(
         except EvaluationError:
             return None
     values = _candidate_values(radius)
-    pruned = _prune_values(symbols, [values] * len(symbols), _unit_constraints(conjuncts))
+    pruned = _prune_values(symbols, [values] * len(symbols), plan.constraints)
     if pruned is None:
         return None
     deadline = time.perf_counter() + max_seconds if max_seconds is not None else None
-    plan = _vector_plan(conjuncts, pruned, domain)
-    if plan is not None:
-        return _vector_model_search(plan, symbols, pruned, check, domain, budget, deadline)
+    batch = _vector_plan(plan, pruned, domain)
+    if batch is not None:
+        return _vector_model_search(batch, symbols, pruned, check, domain, budget, deadline)
     scalars: Dict[Symbol, int] = {}
     for index, assignment in enumerate(itertools.product(*pruned)):
         budget -= 1
@@ -603,12 +639,11 @@ def enumerate_models(
     """
     if formula_arrays(formula):
         return []
-    symbols = sorted(free_symbols(formula))
+    plan = _search_plan(formula)
+    symbols, check = plan.symbols, plan.check
     domain = range(-quantifier_domain_radius, quantifier_domain_radius + 1)
     _SEARCH_STATS.searches += 1
     telemetry.count("solver.enumerate_models.calls")
-    conjuncts = _flatten_conjuncts(formula)
-    check = _assignment_checker(formula, conjuncts)
     models: List[Dict[Symbol, int]] = []
     if not symbols:
         try:
@@ -624,19 +659,15 @@ def enumerate_models(
     for symbol in symbols:
         if candidates is not None and symbol in candidates:
             # Deduplicate while preserving order.
-            seen: List[int] = []
-            for value in candidates[symbol]:
-                if value not in seen:
-                    seen.append(value)
-            per_symbol_values.append(seen or default_values)
+            per_symbol_values.append(list(dict.fromkeys(candidates[symbol])) or default_values)
         else:
             per_symbol_values.append(default_values)
-    pruned = _prune_values(symbols, per_symbol_values, _unit_constraints(conjuncts))
+    pruned = _prune_values(symbols, per_symbol_values, plan.constraints)
     if pruned is None:
         return []
-    plan = _vector_plan(conjuncts, pruned, domain)
-    if plan is not None:
-        return _vector_enumerate_models(plan, symbols, pruned, check, domain, limit)
+    batch = _vector_plan(plan, pruned, domain)
+    if batch is not None:
+        return _vector_enumerate_models(batch, symbols, pruned, check, domain, limit)
     scalars: Dict[Symbol, int] = {}
     for assignment in itertools.product(*pruned):
         for symbol, value in zip(symbols, assignment):

@@ -2,6 +2,8 @@
 
 from repro.logic import formula as F
 from repro.logic.formula import Const, Divides, Select, Symbol, conj, exists, sym, var
+from repro.solver import models as models_module
+from repro.solver.backend import numpy_available, use_backend
 from repro.solver.models import (
     bounded_model_search,
     enumerate_models,
@@ -164,3 +166,54 @@ class TestUnitPropagation:
         assert stats["searches"] == 1
         assert stats["models_found"] == 1
         assert 0.0 <= stats["prune_rate"] <= 1.0
+
+
+class TestSearchPlanCache:
+    """One search plan per interned formula and backend, rebuilt safely."""
+
+    def test_plan_is_reused_and_counters_stay_per_call(self):
+        formula = conj(F.ge(var("x"), Const(0)), F.le(var("x"), var("y") + Const(1)))
+        with use_backend("compiled"):
+            first = enumerate_models(formula, radius=2)
+            plan = models_module._PLANS[(formula, "compiled")]
+            reset_search_stats()
+            assert enumerate_models(formula, radius=2) == first
+            assert bounded_model_search(formula, radius=2) == first[0]
+            assert models_module._PLANS[(formula, "compiled")] is plan
+        assert search_stats()["searches"] == 2
+
+    def test_backend_switch_rebuilds_the_checker(self, monkeypatch):
+        """Switching backends in one process never reuses another's checker."""
+        formula = conj(F.ge(var("x") + var("y"), Const(1)), F.le(var("x"), Const(2)))
+        calls = []
+        tree_walker = models_module.evaluate
+
+        def counting_evaluate(*args):
+            calls.append(args)
+            return tree_walker(*args)
+
+        monkeypatch.setattr(models_module, "evaluate", counting_evaluate)
+        with use_backend("compiled"):
+            expected = enumerate_models(formula, radius=2)
+        assert not calls
+        with use_backend("tree"):
+            assert enumerate_models(formula, radius=2) == expected
+        assert calls  # the tree plan walks the tree, not the compiled closures
+        calls.clear()
+        fast = "vector" if numpy_available() else "compiled"
+        with use_backend(fast):
+            assert enumerate_models(formula, radius=2) == expected
+        assert not calls  # ... and the tree checker is not reused afterwards
+        if fast == "vector":
+            assert models_module._PLANS[(formula, "vector")].vector is not None
+            assert models_module._PLANS[(formula, "tree")].vector is None
+
+    def test_overflow_flushes_and_still_answers(self, monkeypatch):
+        formulas = [F.eq(var("x") + var("y"), Const(k)) for k in range(4)]
+        expected = [enumerate_models(formula, radius=2) for formula in formulas]
+        monkeypatch.setattr(models_module, "_PLAN_CACHE_LIMIT", 2)
+        models_module._PLANS.clear()
+        for _ in range(2):
+            for formula, models in zip(formulas, expected):
+                assert enumerate_models(formula, radius=2) == models
+                assert len(models_module._PLANS) <= 2
