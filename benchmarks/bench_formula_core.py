@@ -17,7 +17,7 @@ actually push through substitution, normalisation and fingerprinting):
   obligation corpus from scratch (a direct measure of cross-obligation
   subterm sharing).
 
-The headline numbers are written to ``benchmarks/bench_formula_core.json``
+The headline numbers are written to ``benchmarks/bench_formula_core.fresh.json``
 so CI can archive them as a workflow artifact.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_formula_core.py -q``.
@@ -117,7 +117,7 @@ def test_formula_core_throughput(capsys):
         "intern_hit_rate": stats["hit_rate"],
         "intern_live_nodes": stats["live_nodes"],
     }
-    output_path = os.path.join(os.path.dirname(__file__), "bench_formula_core.json")
+    output_path = os.path.join(os.path.dirname(__file__), "bench_formula_core.fresh.json")
     with open(output_path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
 

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Append benchmark key metrics to the committed trajectory file.
 
-The benchmark suites under ``benchmarks/`` each write a JSON result file
-(``bench_eval.json``, ``bench_solver.json``, ...).  Those files are
-snapshots: each run overwrites the last.  This script distils the headline
-metrics out of whichever result files are present and **appends** them as
-one entry to ``benchmarks/trajectory.json``, which is committed — so the
+The benchmark suites under ``benchmarks/`` each write a fresh JSON result
+file (``bench_eval.fresh.json``, ``bench_solver.fresh.json``, ...).  Those
+files are snapshots: each run overwrites the last.  This script distils the
+headline metrics out of whichever fresh result files are present and
+**appends** them as one entry to ``benchmarks/trajectory.json``, which is
+committed — so the
 repository accumulates a longitudinal record of how the key performance
 numbers move PR over PR, and a regression shows up as a kink in the
 series rather than a silently replaced snapshot.
@@ -19,9 +20,19 @@ Usage:
     python scripts/bench_history.py --show           # print the series
 
 The entry records the current commit, a timestamp, and one metrics block
-per recognised result file.  Unrecognised or missing files are skipped
-(the script never fails because a suite was not run); ``--require`` makes
-missing files an error for CI use.
+per recognised result file.  Three rules keep an entry honest:
+
+* only ``*.fresh.json`` files are read — the committed baselines
+  (``bench_solver.json``, ...) were measured at an earlier commit, so
+  falling back to them would record old numbers under a new label;
+* a fresh file older than the newest ``src/**/*.py`` file is refused: it
+  measured code that has since changed;
+* the entry is marked ``"dirty": true`` when ``git status --porcelain --
+  src`` is non-empty, because the recorded commit is then not the code that
+  was measured.
+
+Missing files are skipped (the script never fails because a suite was not
+run); ``--require`` makes missing files an error for CI use.
 """
 
 from __future__ import annotations
@@ -36,10 +47,12 @@ from typing import Dict, List, Optional
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
+SRC_DIR = os.path.join(REPO_ROOT, "src")
 TRAJECTORY_PATH = os.path.join(BENCH_DIR, "trajectory.json")
 
 #: The headline metrics per result file, as dotted paths into its JSON.
-#: Fresh (uncommitted) variants of a file are preferred when present.
+#: Only the fresh variant of each file (``bench_eval.fresh.json`` for
+#: ``bench_eval.json``) is read.
 KEY_METRICS: Dict[str, List[str]] = {
     "bench_eval.json": [
         "search_speedup",
@@ -93,25 +106,43 @@ def _dig(payload: object, path: str) -> Optional[object]:
     return node
 
 
-def _result_path(name: str) -> Optional[str]:
-    """The freshest available result file for ``name`` (or None)."""
+def _fresh_path(name: str, bench_dir: str = BENCH_DIR) -> Optional[str]:
+    """The fresh result file for ``name`` (or None when it is absent)."""
     stem, ext = os.path.splitext(name)
-    for candidate in (f"{stem}.fresh{ext}", name):
-        path = os.path.join(BENCH_DIR, candidate)
-        if os.path.exists(path):
-            return path
-    return None
+    path = os.path.join(bench_dir, f"{stem}.fresh{ext}")
+    return path if os.path.exists(path) else None
 
 
-def collect_metrics(require: bool = False) -> Dict[str, Dict[str, object]]:
-    """Key metrics per recognised result file present in ``benchmarks/``."""
+def newest_source_mtime(src_dir: str = SRC_DIR) -> float:
+    """The modification time of the newest ``*.py`` file under ``src_dir``."""
+    newest = 0.0
+    for root, _dirs, files in os.walk(src_dir):
+        for name in files:
+            if name.endswith(".py"):
+                newest = max(newest, os.path.getmtime(os.path.join(root, name)))
+    return newest
+
+
+def collect_metrics(
+    require: bool = False, bench_dir: str = BENCH_DIR, src_dir: str = SRC_DIR
+) -> Dict[str, Dict[str, object]]:
+    """Key metrics per recognised fresh result file in ``bench_dir``.
+
+    Raises SystemExit for a fresh file older than the newest source file.
+    """
+    newest_source = newest_source_mtime(src_dir)
     metrics: Dict[str, Dict[str, object]] = {}
     for name, paths in sorted(KEY_METRICS.items()):
-        result_path = _result_path(name)
+        result_path = _fresh_path(name, bench_dir)
         if result_path is None:
             if require:
                 raise SystemExit(f"required benchmark result missing: {name}")
             continue
+        if os.path.getmtime(result_path) < newest_source:
+            raise SystemExit(
+                f"{result_path} is older than the newest file under {src_dir}; "
+                "re-run its benchmark before recording"
+            )
         try:
             with open(result_path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -130,19 +161,22 @@ def collect_metrics(require: bool = False) -> Dict[str, Dict[str, object]]:
     return metrics
 
 
-def current_commit() -> str:
+def _git(args: List[str], repo_root: str) -> Optional[str]:
     try:
-        return (
-            subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                cwd=REPO_ROOT,
-                capture_output=True,
-                text=True,
-                check=True,
-            ).stdout.strip()
-        )
+        return subprocess.run(
+            ["git", *args], cwd=repo_root, capture_output=True, text=True, check=True
+        ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+        return None
+
+
+def source_dirty(repo_root: str = REPO_ROOT) -> bool:
+    """True when ``src/`` has uncommitted changes (or untracked files)."""
+    return bool(_git(["status", "--porcelain", "--", "src"], repo_root))
+
+
+def current_commit(repo_root: str = REPO_ROOT) -> str:
+    return _git(["rev-parse", "--short", "HEAD"], repo_root) or "unknown"
 
 
 def load_trajectory(path: str = TRAJECTORY_PATH) -> List[Dict[str, object]]:
@@ -180,6 +214,8 @@ def render_series(entries: List[Dict[str, object]]) -> str:
         header = f"{entry.get('recorded_at', '?')}  {entry.get('commit', '?')}"
         if entry.get("label"):
             header += f"  [{entry['label']}]"
+        if entry.get("dirty"):
+            header += "  (dirty src)"
         lines.append(header)
         for name, block in sorted(entry.get("metrics", {}).items()):
             for key, value in sorted(block.items()):
@@ -217,7 +253,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     metrics = collect_metrics(require=args.require)
     if not metrics:
         raise SystemExit(
-            "no benchmark result files found; run the suites first "
+            "no fresh benchmark result files found; run the suites first "
             "(PYTHONPATH=src python -m pytest benchmarks/ -q)"
         )
     entry: Dict[str, object] = {
@@ -227,6 +263,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "commit": current_commit(),
         "metrics": metrics,
     }
+    if source_dirty():
+        entry["dirty"] = True
     if args.label:
         entry["label"] = args.label
 

@@ -35,7 +35,11 @@ Schema history: version 5 added the ``incremental`` section to the
 ``delta_obligations``, ``total_obligations``, ``reuse_rate``,
 ``store_entries``) along with the ``strategy`` / ``beam_width`` /
 ``beam_pruned`` / ``truncated`` / ``reward_table`` search keys and the
-engine counters ``incremental_reused`` / ``delta_obligations``;
+engine counters ``incremental_reused`` / ``delta_obligations``.  Those
+counters are now read from the engine's one tiered verdict store (session
+hits are ``reused``; ``delta_obligations`` is every other obligation passed
+to the engine, so it is no longer 0 outside ``explore``), with the same
+keys, so the version stays 5;
 version 4 added ``solver.backend`` (the resolved
 evaluation backend the run's queries executed on) and the vector-backend
 counters (``vector_rows``, ``vector_batches``, ``vector_searches``,

@@ -6,27 +6,27 @@ obligations) and the solver stack (which decides individual queries):
 * :mod:`~repro.engine.fingerprint` — canonical obligation fingerprinting
   (alpha-renaming to de Bruijn indices, conjunct sorting, symmetric-atom
   orientation) hashed into stable cache keys;
-* :mod:`~repro.engine.cache` — an in-memory LRU of conclusive verdicts with
-  an optional persistent JSON store (``UNKNOWN`` is never cached);
+* :mod:`~repro.engine.cache` — the one verdict store: a session tier of
+  every verdict the engine settled (``UNKNOWN`` included, replayed in later
+  waves, never saved) over a persistent tier — an in-memory LRU of
+  conclusive verdicts with an optional JSON store (``UNKNOWN`` is never
+  written there);
 * :mod:`~repro.engine.portfolio` — named solver configurations raced in
   sequence per obligation, with a win table that reorders future attempts;
 * :mod:`~repro.engine.scheduler` — parallel discharge over a
   ``ProcessPoolExecutor`` with per-obligation budgets;
 * :mod:`~repro.engine.core` — :class:`ObligationEngine`, the facade tying
-  the pieces together behind ``discharge_all`` / ``discharge_collected``;
+  the pieces together behind ``discharge_all`` / ``discharge_collected``
+  (generational searches re-discharge near-identical waves through one
+  engine and pay only for the obligations its session has not settled);
 * :mod:`~repro.engine.batch` — multi-program batch verification
   (``repro verify-batch``) pooling every program's obligations into one
-  discharge wave and emitting a structured report;
-* :mod:`~repro.engine.incremental` — the search-session verdict store
-  behind incremental re-verification: generational searches answer
-  already-settled obligations (by canonical fingerprint) from the session
-  and discharge only the delta.
+  discharge wave and emitting a structured report.
 """
 
 from .cache import CachedVerdict, ObligationCache
 from .core import EngineStatistics, ObligationEngine, default_engine
 from .fingerprint import canonical_form, fingerprint
-from .incremental import StoredVerdict, VerdictStore
 from .portfolio import (
     DEFAULT_STRATEGIES,
     Portfolio,
@@ -59,8 +59,6 @@ __all__ = [
     "ObligationEngine",
     "Portfolio",
     "SolverStrategy",
-    "StoredVerdict",
-    "VerdictStore",
     "canonical_form",
     "case_study_items",
     "default_engine",

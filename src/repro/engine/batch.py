@@ -37,8 +37,6 @@ from ..lang.ast import Program
 from ..lang.parser import parse_program
 from ..solver.interface import Solver
 from .core import ObligationEngine
-from .fingerprint import fingerprint
-from .incremental import VerdictStore
 
 
 @dataclass
@@ -177,10 +175,10 @@ class BatchProgramResult:
     #: The verified program with source/spans attached (not serialised) —
     #: kept so ``--explain`` can render annotated excerpts post-hoc.
     program: Optional[Program] = None
-    #: Incremental-gate accounting, populated only when ``verify_batch``
-    #: ran with a :class:`~repro.engine.incremental.VerdictStore`: how many
-    #: of this program's pooled obligations were answered by the search
-    #: session's store vs discharged as fresh delta, plus the canonical
+    #: Incremental-gate accounting, populated whenever the engine
+    #: fingerprints (it has a verdict store or a portfolio): how many of
+    #: this program's pooled obligations the store's session tier replayed
+    #: vs how many were answered afresh (the delta), plus the canonical
     #: fingerprint and verdict status of every obligation in pooled order
     #: (original layer then relaxed).  Not serialised by ``as_dict`` — the
     #: explorer folds them into its own per-candidate records.
@@ -287,17 +285,14 @@ def verify_batch(
     cache_dir: Optional[str] = None,
     budget_seconds: Optional[float] = None,
     collect_solver: Optional[Solver] = None,
-    verdict_store: Optional[VerdictStore] = None,
 ) -> BatchReport:
     """Verify every batch item through one pooled engine discharge wave.
 
-    When a ``verdict_store`` (a search-session
-    :class:`~repro.engine.incremental.VerdictStore`) is given, pooled
-    obligations whose canonical fingerprint the store has already settled
-    are answered from it without entering the engine — only the delta is
-    discharged — and the delta's verdicts are recorded back.  Per-program
-    reuse counts, obligation fingerprints, and verdict statuses are then
-    attached to each :class:`BatchProgramResult` for the explorer.
+    Pooled obligations the engine's session already settled in an earlier
+    wave are replayed by its verdict store; only the delta is discharged.
+    Whenever the engine fingerprints, the per-program reuse counts,
+    obligation fingerprints and verdict statuses are attached to each
+    :class:`BatchProgramResult` from the keys the engine computed.
     """
     if engine is None:
         engine = ObligationEngine.for_batch(
@@ -343,14 +338,7 @@ def verify_batch(
             )
             pooled.extend(bundle.original.obligations)
             pooled.extend(bundle.relaxed.obligations)
-        if verdict_store is None:
-            results = engine.discharge_all(pooled)
-            fingerprints: Optional[List[str]] = None
-            reused_flags: Optional[List[bool]] = None
-        else:
-            results, fingerprints, reused_flags = _discharge_incremental(
-                engine, pooled, verdict_store
-            )
+        results, keys, reused = engine.discharge_wave(pooled)
 
         # Phase 3: scatter verdicts back into per-program reports.
         report = BatchReport(jobs=engine.jobs)
@@ -383,13 +371,13 @@ def verify_batch(
                     + relaxed_report.elapsed_seconds,
                     program=bundle.program,
                 )
-                if fingerprints is not None and reused_flags is not None:
-                    end = offset + n_original + n_relaxed
-                    result.obligation_fingerprints = tuple(fingerprints[offset:end])
+                end = offset + n_original + n_relaxed
+                if end > offset and keys[offset] is not None:
+                    result.obligation_fingerprints = tuple(keys[offset:end])
                     result.obligation_statuses = tuple(
                         item_result.status.value for item_result in results[offset:end]
                     )
-                    result.reused_obligations = sum(reused_flags[offset:end])
+                    result.reused_obligations = sum(reused[offset:end])
                     result.delta_obligations = (
                         end - offset - result.reused_obligations
                     )
@@ -404,60 +392,6 @@ def verify_batch(
     if engine.portfolio is not None:
         report.strategy_wins = engine.portfolio.win_table()
     return report
-
-
-def _discharge_incremental(
-    engine: ObligationEngine,
-    pooled: Sequence,
-    store: VerdictStore,
-) -> Tuple[List[ObligationResult], List[str], List[bool]]:
-    """Answer pooled obligations from the session store; discharge the delta.
-
-    Returns the results in pooled order plus the parallel canonical
-    fingerprint list and a reused-flag list (True = answered by the store
-    without entering the engine).  The store replays UNKNOWN verdicts on
-    purpose — matching the engine's in-wave dedup contract — so a
-    generational search settles obligations byte-identically to a single
-    exhaustive wave.
-    """
-    with telemetry.span("incremental.gate", obligations=len(pooled)):
-        fingerprints = [
-            fingerprint(obligation.formula, obligation.kind.value)
-            for obligation in pooled
-        ]
-        results: List[Optional[ObligationResult]] = [None] * len(pooled)
-        reused_flags = [False] * len(pooled)
-        delta_indices: List[int] = []
-        for index, (obligation, key) in enumerate(zip(pooled, fingerprints)):
-            verdict = store.get(key)
-            if verdict is None:
-                delta_indices.append(index)
-                continue
-            reused_flags[index] = True
-            results[index] = ObligationResult(
-                obligation=obligation,
-                status=verdict.status,
-                counterexample=(
-                    dict(verdict.model) if verdict.model is not None else None
-                ),
-                elapsed_seconds=0.0,
-                reason=verdict.reason,
-            )
-        reused = len(pooled) - len(delta_indices)
-        telemetry.count("engine.incremental.reused", reused)
-        telemetry.count("engine.incremental.delta", len(delta_indices))
-        engine.statistics.incremental_reused += reused
-        engine.statistics.delta_obligations += len(delta_indices)
-    delta_results = engine.discharge_all([pooled[i] for i in delta_indices])
-    for index, delta_result in zip(delta_indices, delta_results):
-        results[index] = delta_result
-        store.record(fingerprints[index], delta_result)
-    settled = [result for result in results if result is not None]
-    if len(settled) != len(pooled):
-        raise RuntimeError(
-            f"incremental gate settled {len(settled)} of {len(pooled)} obligations"
-        )
-    return settled, fingerprints, reused_flags
 
 
 def _layer_report(

@@ -1,17 +1,29 @@
-"""The persistent obligation result cache.
+"""The engine's one verdict store: a session tier over a persistent cache.
 
 Verdicts are keyed by the canonical fingerprint of the obligation (see
-:mod:`repro.engine.fingerprint`).  The cache is an in-memory LRU with an
-optional on-disk JSON store: re-verifying an edited program only re-solves
-the obligations whose formulas actually changed; everything else is answered
-from the cache without a single solver call.
+:mod:`repro.engine.fingerprint`).  :class:`ObligationCache` keeps them in
+two tiers:
 
-Caching policy
---------------
+* the **session** tier holds every verdict this engine settled, ``UNKNOWN``
+  included.  It is never evicted and never saved.  A repeated obligation in
+  a later wave — the next generation of an exploration, the relaxed layer
+  re-proving an original-layer entailment — is replayed from it rather than
+  re-solved, which extends the engine's in-wave dedup contract across
+  waves;
+* the **persistent** tier is an in-memory LRU of *conclusive* verdicts with
+  an optional on-disk JSON store: re-verifying an edited program only
+  re-solves the obligations whose formulas actually changed.
 
-* only **conclusive** verdicts are stored — ``UNKNOWN`` is *never* cached,
-  so a budget exhaustion today cannot masquerade as a proof (or a refuted
-  proof) tomorrow;
+Both tiers share one :class:`CachedVerdict` object per key.  One counter
+set covers both: ``reused`` (session hits), ``hits_by_origin`` (persistent
+hits per origin) and ``misses``.
+
+Persistent-tier policy
+----------------------
+
+* only **conclusive** verdicts are stored — ``UNKNOWN`` is *never* written
+  to the LRU or to disk, so a budget exhaustion today cannot masquerade as
+  a proof (or a refuted proof) tomorrow, and a fresh engine retries it;
 * counterexample models are stored alongside ``INVALID`` / ``SAT`` verdicts
   (fingerprinting preserves free-symbol names, so cached models remain
   meaningful for every formula mapping to the same key);
@@ -50,20 +62,20 @@ def _symbol_from_str(text: str) -> Symbol:
 
 @dataclass
 class CachedVerdict:
-    """A conclusive solver verdict replayed from the cache."""
+    """A settled solver verdict replayed from the store."""
 
     status: Status
     model: Optional[Dict[Symbol, int]] = None
     reason: str = ""
     strategy: str = ""
-    #: Which tier produced the entry: ``"memory"`` for verdicts stored by
-    #: this process, ``"disk"`` for entries replayed from the persistent
-    #: store — telemetry reports cache hits per tier.
+    #: Which source produced a persistent-tier entry: ``"memory"`` for
+    #: verdicts stored by this process, ``"disk"`` for entries replayed from
+    #: the persistent store — telemetry reports cache hits per origin.
     origin: str = "memory"
 
 
 class ObligationCache:
-    """In-memory LRU of obligation verdicts with an optional JSON store."""
+    """The tiered verdict store: session tier over LRU + JSON store."""
 
     def __init__(
         self,
@@ -74,9 +86,11 @@ class ObligationCache:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
         self.cache_dir = cache_dir
-        self.hits = 0
+        self.reused = 0
+        self.hits_by_origin: Dict[str, int] = {}
         self.misses = 0
         self.stores = 0
+        self._session: Dict[str, CachedVerdict] = {}
         self._entries: "OrderedDict[str, CachedVerdict]" = OrderedDict()
         self._dirty = False
         if cache_dir is not None:
@@ -85,7 +99,48 @@ class ObligationCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    # -- lookup / insert ---------------------------------------------------------
+    @property
+    def hits(self) -> int:
+        return sum(self.hits_by_origin.values())
+
+    @property
+    def session_entries(self) -> int:
+        return len(self._session)
+
+    # -- session tier ------------------------------------------------------------
+
+    def recall(self, key: str) -> Optional[CachedVerdict]:
+        """The verdict this session already settled (counted as a reuse)."""
+        entry = self._session.get(key)
+        if entry is not None:
+            self.reused += 1
+        return entry
+
+    def record(
+        self,
+        key: str,
+        status: Status,
+        model: Optional[Dict[Symbol, int]] = None,
+        reason: str = "",
+    ) -> None:
+        """Remember a settled verdict in the session tier, UNKNOWN included.
+
+        The first record of a key wins.  When the persistent tier holds the
+        key (a disk hit, or a conclusive verdict just :meth:`put`) the
+        session shares that object; otherwise it keeps its own copy.
+        """
+        if key in self._session:
+            return
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = CachedVerdict(
+                status=status,
+                model=dict(model) if model is not None else None,
+                reason=reason,
+            )
+        self._session[key] = entry
+
+    # -- persistent tier ---------------------------------------------------------
 
     def get(self, key: str) -> Optional[CachedVerdict]:
         entry = self._entries.get(key)
@@ -93,7 +148,7 @@ class ObligationCache:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
+        self.hits_by_origin[entry.origin] = self.hits_by_origin.get(entry.origin, 0) + 1
         return entry
 
     def put(
@@ -119,11 +174,6 @@ class ObligationCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         return True
-
-    def clear(self) -> None:
-        if self._entries:
-            self._dirty = True
-        self._entries.clear()
 
     # -- persistence -------------------------------------------------------------
 

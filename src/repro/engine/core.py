@@ -5,15 +5,19 @@ proof obligations) and the solver stack (which *decides* individual
 queries).  For every batch of obligations it:
 
 1. computes each obligation's canonical fingerprint
-   (:mod:`repro.engine.fingerprint`);
-2. answers fingerprint hits from the result cache
-   (:mod:`repro.engine.cache`) without touching a solver;
+   (:mod:`repro.engine.fingerprint`), once;
+2. answers it from the verdict store (:mod:`repro.engine.cache`) without
+   touching a solver — first the session tier (every verdict this engine
+   settled in an earlier wave, ``UNKNOWN`` included), then the persistent
+   tier (conclusive verdicts, optionally on disk) — or from an identical
+   obligation pending earlier in the same wave;
 3. discharges the remaining obligations either serially on a caller-provided
    :class:`~repro.solver.interface.Solver` (the seed-compatible path) or via
    the strategy portfolio (:mod:`repro.engine.portfolio`) on the parallel
    scheduler (:mod:`repro.engine.scheduler`);
-4. stores conclusive verdicts back into the cache and credits the winning
-   strategy so future obligations try it first.
+4. records every settled verdict in the session tier, stores conclusive
+   ones in the persistent tier, and credits the winning strategy so future
+   obligations try it first.
 
 The engine constructed by :func:`default_engine` — one solver, one job, no
 cache, no portfolio — reproduces the seed's serial discharge loop exactly
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .. import telemetry
 from ..hoare.obligations import (
@@ -46,24 +50,41 @@ from .scheduler import DischargeScheduler, DischargeTask
 
 @dataclass
 class EngineStatistics:
-    """Aggregate statistics over the lifetime of an engine instance."""
+    """Aggregate statistics over the lifetime of an engine instance.
 
+    The store counters — ``cache_hits`` / ``cache_misses`` (persistent
+    tier) and ``incremental_reused`` (session tier) — are read from the
+    engine's :class:`~repro.engine.cache.ObligationCache`, not kept twice;
+    they stay zero for an engine without one.
+    """
+
+    #: Every obligation passed to the engine, however it was answered.
     obligations: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     dedup_hits: int = 0  # in-wave duplicates answered by a representative
-    #: Obligations answered by a search-session verdict store before they
-    #: reached the engine (the incremental gate; see engine/incremental.py),
-    #: and the complement that was actually discharged as delta.  Both stay
-    #: zero outside incremental searches; ``obligations`` above counts only
-    #: what entered ``discharge_all``, i.e. the delta.
-    incremental_reused: int = 0
-    delta_obligations: int = 0
     solver_calls: int = 0
     strategy_attempts: int = 0
     parallel_batches: int = 0
     unknown_results: int = 0
     total_seconds: float = 0.0
+    cache: Optional[ObligationCache] = field(default=None, repr=False, compare=False)
+
+    @property
+    def cache_hits(self) -> int:
+        return self.cache.hits if self.cache is not None else 0
+
+    @property
+    def cache_misses(self) -> int:
+        return self.cache.misses if self.cache is not None else 0
+
+    @property
+    def incremental_reused(self) -> int:
+        """Obligations replayed from the session tier (settled in an earlier wave)."""
+        return self.cache.reused if self.cache is not None else 0
+
+    @property
+    def delta_obligations(self) -> int:
+        """Obligations the session tier did not answer (the rest of ``obligations``)."""
+        return self.obligations - self.incremental_reused
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -81,6 +102,33 @@ class EngineStatistics:
         }
 
 
+class DischargedWave(NamedTuple):
+    """One :meth:`ObligationEngine.discharge_wave`, in input order."""
+
+    results: List[ObligationResult]
+    #: Each obligation's canonical fingerprint — ``None`` throughout when
+    #: the engine does not fingerprint (the plain serial path).
+    keys: List[Optional[str]]
+    #: True where the session tier replayed a verdict settled earlier.
+    reused: List[bool]
+
+
+def _replayed(
+    obligation: ProofObligation,
+    status: Status,
+    model: Optional[Dict],
+    reason: str,
+) -> ObligationResult:
+    """A result answered without a solver call (store hit or dedup follower)."""
+    return ObligationResult(
+        obligation=obligation,
+        status=status,
+        counterexample=dict(model) if model is not None else None,
+        elapsed_seconds=0.0,
+        reason=reason,
+    )
+
+
 class ObligationEngine:
     """Discharges proof obligations through cache, portfolio and scheduler.
 
@@ -94,8 +142,9 @@ class ObligationEngine:
         Worker processes for parallel discharge.  ``jobs > 1`` implies the
         portfolio path (worker processes build their own solvers).
     cache / cache_dir:
-        A result cache instance, or a directory to create a persistent one
-        in.  ``None`` disables caching.
+        A verdict store instance, or a directory to create a persistent one
+        in.  ``None`` disables both tiers (in-wave dedup still applies on
+        the portfolio path).
     portfolio:
         The strategy portfolio; created on demand when ``jobs > 1``.
     budget_seconds:
@@ -125,7 +174,7 @@ class ObligationEngine:
         self.cache = cache
         self.portfolio = portfolio
         self.budget_seconds = budget_seconds
-        self.statistics = EngineStatistics()
+        self.statistics = EngineStatistics(cache=cache)
         #: Solver-level counters aggregated across every discharge this
         #: engine performed: the portfolio path merges worker statistics
         #: shipped back with each outcome, the serial path merges the shared
@@ -161,11 +210,26 @@ class ObligationEngine:
     def discharge_all(
         self, obligations: Sequence[ProofObligation]
     ) -> List[ObligationResult]:
-        """Discharge every obligation, in order, through cache and solvers."""
+        """Discharge every obligation, in order, through the store and solvers."""
+        return self.discharge_wave(obligations).results
+
+    def discharge_wave(self, obligations: Sequence[ProofObligation]) -> DischargedWave:
+        """:meth:`discharge_all`, plus each obligation's key and reuse flag.
+
+        Each obligation is fingerprinted once, then answered by the first
+        of: the session tier (verdicts settled in earlier waves), the
+        persistent tier, an identical obligation pending earlier in this
+        wave, or a solver.  Every settled verdict enters the session tier
+        after the wave, so duplicates within one wave keep their per-wave
+        accounting (a repeated disk hit counts two cache hits, a repeated
+        miss one dedup hit).
+        """
         start = time.perf_counter()
-        results: List[Optional[ObligationResult]] = [None] * len(obligations)
+        count = len(obligations)
+        results: List[Optional[ObligationResult]] = [None] * count
+        keys: List[Optional[str]] = [None] * count
+        reused = [False] * count
         pending: List[int] = []
-        keys: List[Optional[str]] = [None] * len(obligations)
         # Duplicate obligations inside one wave (e.g. the same entailment
         # arising in several programs of a batch) are solved once: later
         # occurrences wait for the representative's verdict.  Dedup applies
@@ -173,40 +237,41 @@ class ObligationEngine:
         # portfolio path; the plain serial path stays seed-identical (one
         # solver call per obligation, duplicates included).
         fingerprinting = self.cache is not None or self.portfolio is not None
+        cache = self.cache
         pending_by_key: Dict[str, int] = {}
         duplicates: Dict[int, List[int]] = {}
-        self.statistics.obligations += len(obligations)
+        self.statistics.obligations += count
 
-        wave_span = telemetry.span("discharge.wave", obligations=len(obligations))
-        with wave_span:
-            with telemetry.span("fingerprint", obligations=len(obligations)):
+        with telemetry.span("discharge.wave", obligations=count):
+            with telemetry.span("fingerprint", obligations=count):
                 for index, obligation in enumerate(obligations):
                     if fingerprinting:
-                        key = fingerprint(obligation.formula, obligation.kind.value)
-                        keys[index] = key
+                        key = keys[index] = fingerprint(
+                            obligation.formula, obligation.kind.value
+                        )
+                        # A pending key already missed both tiers, and
+                        # neither changes before the wave ends.
                         representative = pending_by_key.get(key)
                         if representative is not None:
                             duplicates.setdefault(representative, []).append(index)
                             continue
-                        if self.cache is not None:
-                            verdict = self.cache.get(key)
+                        verdict = None
+                        if cache is not None:
+                            verdict = cache.recall(key)
                             if verdict is not None:
-                                self.statistics.cache_hits += 1
-                                telemetry.count("engine.cache.hits." + verdict.origin)
-                                results[index] = ObligationResult(
-                                    obligation=obligation,
-                                    status=verdict.status,
-                                    counterexample=(
-                                        dict(verdict.model)
-                                        if verdict.model is not None
-                                        else None
-                                    ),
-                                    elapsed_seconds=0.0,
-                                    reason=verdict.reason,
+                                reused[index] = True
+                            else:
+                                verdict = cache.get(key)
+                                telemetry.count(
+                                    "engine.cache.misses"
+                                    if verdict is None
+                                    else "engine.cache.hits." + verdict.origin
                                 )
-                                continue
-                            self.statistics.cache_misses += 1
-                            telemetry.count("engine.cache.misses")
+                        if verdict is not None:
+                            results[index] = _replayed(
+                                obligation, verdict.status, verdict.model, verdict.reason
+                            )
+                            continue
                         pending_by_key[key] = index
                     pending.append(index)
 
@@ -227,31 +292,27 @@ class ObligationEngine:
             for index in followers:
                 self.statistics.dedup_hits += 1
                 telemetry.count("engine.dedup.hits")
-                results[index] = ObligationResult(
-                    obligation=obligations[index],
-                    status=settled.status,
-                    counterexample=(
-                        dict(settled.counterexample)
-                        if settled.counterexample is not None
-                        else None
-                    ),
-                    elapsed_seconds=0.0,
-                    reason=settled.reason,
+                results[index] = _replayed(
+                    obligations[index], settled.status, settled.counterexample, settled.reason
                 )
 
-        if self.cache is not None:
-            self.cache.save()
-        self.statistics.total_seconds += time.perf_counter() - start
         # Exactly one result per obligation, in input order — the batch
         # layer's offset-based scatter depends on it, so fail loudly rather
         # than silently shifting verdicts between programs.
         settled_results = [result for result in results if result is not None]
-        if len(settled_results) != len(obligations):
+        if len(settled_results) != count:
             raise RuntimeError(
-                f"discharge_all settled {len(settled_results)} of "
-                f"{len(obligations)} obligations"
+                f"discharge_all settled {len(settled_results)} of {count} obligations"
             )
-        return settled_results
+        if cache is not None:
+            for key, result in zip(keys, settled_results):
+                cache.record(key, result.status, result.counterexample, result.reason)
+            reused_count = sum(reused)
+            telemetry.count("engine.incremental.reused", reused_count)
+            telemetry.count("engine.incremental.delta", count - reused_count)
+            cache.save()
+        self.statistics.total_seconds += time.perf_counter() - start
+        return DischargedWave(settled_results, keys, reused)
 
     def discharge_collected(
         self, collector: ObligationCollector, program_name: str

@@ -17,9 +17,9 @@ any one of them acceptable.  This subsystem searches the space:
   plus a learned per-site-kind reward table;
 * :mod:`~repro.explore.explorer` — the generational pipeline: expand the
   scheduled parents, gate each generation through one pooled
-  obligation-engine batch over a search-session verdict store (statically
-  rejected candidates are never executed; already-settled obligations are
-  reused, only the delta is discharged), score the survivors, select the
+  obligation-engine batch (statically rejected candidates are never
+  executed; the engine's session tier replays already-settled obligations,
+  only the delta is discharged), score the survivors, select the
   Pareto frontier, report as table/JSON/CSV.
 """
 

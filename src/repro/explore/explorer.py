@@ -8,13 +8,12 @@ more site to the parents chosen by the frontier scheduler:
    site to the selected parents, deduplicating by program fingerprint
    (:class:`~repro.explore.candidates.CandidateSpace`).
 2. **Gate, incrementally** — the generation is verified as one pooled
-   batch through the obligation engine (:func:`repro.engine.verify_batch`)
-   layered over a search-session verdict store
-   (:class:`~repro.engine.incremental.VerdictStore`): obligations the
-   search already settled — a child shares most of its parent's — are
-   answered from the store by canonical fingerprint, and only the delta is
-   discharged.  Sibling candidates still share the engine's in-wave dedup
-   and the persistent cache underneath.
+   batch through the obligation engine (:func:`repro.engine.verify_batch`).
+   Obligations the search already settled — a child shares most of its
+   parent's — are replayed by canonical fingerprint from the session tier
+   of the engine's verdict store (:mod:`repro.engine.cache`), and only the
+   delta is discharged.  Sibling candidates still share the engine's
+   in-wave dedup and the persistent tier underneath.
 3. **Score** — candidates that pass the gate (and only those) are scored
    empirically by seeded Monte Carlo differential simulation
    (:mod:`repro.explore.scoring`).
@@ -28,7 +27,7 @@ more site to the parents chosen by the frontier scheduler:
 Statically rejected candidates are *never* executed: the verdict is the
 paper's acceptability guarantee, and the explorer treats it as a hard gate
 rather than a soft ranking signal.  Both strategies settle each pooled
-obligation exactly as the one-wave exhaustive gate did (the verdict store
+obligation exactly as the one-wave exhaustive gate did (the session tier
 replays verdicts — UNKNOWN included — just like in-wave dedup), so
 obligation fingerprints and verdicts are byte-identical across strategies;
 a beam wide enough to hold every generation *is* the exhaustive walk.
@@ -47,7 +46,7 @@ from .. import telemetry
 from ..analysis.metrics import ExploreRow, format_explore_table
 from ..casestudies import resolve_case_study
 from ..casestudies.base import CaseStudy
-from ..engine import ObligationEngine, VerdictStore, program_items, verify_batch
+from ..engine import ObligationEngine, program_items, verify_batch
 from ..hoare.verifier import AcceptabilitySpec
 from ..lang.ast import Program
 from .candidates import Candidate, CandidateSpace
@@ -72,8 +71,8 @@ class CandidateOutcome:
     #: (:meth:`repro.diagnostics.FailureDiagnostic.attribution`).
     failures: List[Dict[str, object]] = field(default_factory=list)
     #: Incremental-gate accounting: how many of this candidate's pooled
-    #: obligations were reused from the search session's verdict store vs
-    #: discharged as fresh delta, plus the canonical fingerprint and
+    #: obligations were replayed from the engine's session tier vs
+    #: answered afresh as delta, plus the canonical fingerprint and
     #: verdict status of each obligation in pooled order.
     reused_obligations: int = 0
     delta_obligations: int = 0
@@ -89,8 +88,8 @@ class CandidateOutcome:
 
         Byte-identical digests mean byte-identical obligation sets *and*
         verdicts — the parity currency the beam-vs-exhaustive guarantee is
-        stated (and CI-gated) in.  ``None`` when the gate ran without a
-        verdict store (fingerprints were not collected per candidate).
+        stated (and CI-gated) in.  ``None`` when the engine does not
+        fingerprint (a plain serial engine without a verdict store).
         """
         if not self.obligation_fingerprints:
             return None
@@ -148,8 +147,9 @@ class ExploreReport:
     #: True when ``search_budget_seconds`` stopped the search before the
     #: requested depth was reached.
     truncated: bool = False
-    #: The search-session verdict store's counters
-    #: (:meth:`repro.engine.incremental.VerdictStore.stats`).
+    #: The session tier's counters over this search: ``reused``,
+    #: ``delta_obligations``, ``total_obligations``, ``reuse_rate`` and
+    #: ``store_entries`` (see :func:`_incremental_section`).
     incremental: Dict[str, float] = field(default_factory=dict)
     #: The frontier scheduler's learned site-kind reward table.
     reward_table: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -179,7 +179,7 @@ class ExploreReport:
 
     @property
     def reuse_rate(self) -> float:
-        """Fraction of pooled obligations answered by the session store."""
+        """Fraction of pooled obligations replayed from the session tier."""
         return float(self.incremental.get("reuse_rate", 0.0))
 
     def as_dict(self) -> Dict[str, object]:
@@ -366,7 +366,8 @@ def explore(
         engine = ObligationEngine.for_batch(
             jobs=jobs, cache_dir=cache_dir, budget_seconds=budget_seconds
         )
-    store = VerdictStore()
+    obligations_before = engine.statistics.obligations
+    reused_before = engine.statistics.incremental_reused
     scheduler = FrontierScheduler(strategy=strategy, beam_width=beam_width)
     report = ExploreReport(
         case_study=case.name,
@@ -413,7 +414,7 @@ def explore(
                     break
             telemetry.count("explore.candidates", len(wave))
 
-            generation = _verify_wave(case, wave, engine, store, report, level)
+            generation = _verify_wave(case, wave, engine, report, level)
             _score_wave(case, generation, samples, seed, policies, report)
             for outcome in generation:
                 scheduler.observe(outcome)
@@ -443,7 +444,11 @@ def explore(
     report.capped_candidates = space.capped
     report.duplicate_candidates = space.duplicates
     report.beam_pruned = scheduler.pruned
-    report.incremental = store.stats()
+    report.incremental = _incremental_section(
+        engine,
+        engine.statistics.obligations - obligations_before,
+        engine.statistics.incremental_reused - reused_before,
+    )
     report.reward_table = scheduler.rewards.as_dict()
     report.engine_stats = engine.statistics.as_dict()
     report.solver_stats = engine.solver_statistics.as_dict()
@@ -452,11 +457,25 @@ def explore(
     return report
 
 
+def _incremental_section(
+    engine: ObligationEngine, total: int, reused: int
+) -> Dict[str, float]:
+    """The ``incremental`` report section: session-tier reuse over one search."""
+    return {
+        "reused": float(reused),
+        "delta_obligations": float(total - reused),
+        "total_obligations": float(total),
+        "reuse_rate": reused / total if total else 0.0,
+        "store_entries": float(
+            engine.cache.session_entries if engine.cache is not None else 0
+        ),
+    }
+
+
 def _verify_wave(
     case: CaseStudy,
     wave: Sequence[Candidate],
     engine: ObligationEngine,
-    store: VerdictStore,
     report: ExploreReport,
     level: int,
 ) -> List[CandidateOutcome]:
@@ -482,7 +501,6 @@ def _verify_wave(
         batch = verify_batch(
             program_items(entries, study=case.name),
             engine=engine,
-            verdict_store=store,
         )
     report.verify_seconds += time.perf_counter() - verify_start
 

@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..casestudies.spec import lint_case_study
-from ..engine import ObligationEngine, VerdictStore, program_items, verify_batch
+from ..engine import ObligationEngine, program_items, verify_batch
 from ..explore import explore
 from ..solver.backend import numpy_available, use_backend
 from .generator import GeneratedProgram, GeneratedStudy, derive_spec, synthesize_corpus
@@ -371,11 +371,7 @@ def verify_leg(
         entries.append((item.name, program, derive_spec(program)))
     with use_backend(backend):
         engine = ObligationEngine.for_batch(jobs=jobs, cache_dir=cache_dir)
-        report = verify_batch(
-            program_items(entries, study="fuzz"),
-            engine=engine,
-            verdict_store=VerdictStore(),
-        )
+        report = verify_batch(program_items(entries, study="fuzz"), engine=engine)
     return {result.name: signature_of(result) for result in report.programs}
 
 

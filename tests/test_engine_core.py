@@ -4,9 +4,10 @@ The key invariants:
 
 * the engine's serial default reproduces the seed's discharge loop (same
   verdicts, same solver statistics accounting);
-* cache hits replay the original verdict without any solver call, and
-  ``UNKNOWN`` never enters the cache (budget exhaustion cannot masquerade
-  as a proof);
+* store hits replay the original verdict without any solver call; the
+  session tier replays ``UNKNOWN`` within one engine, but ``UNKNOWN`` never
+  enters the persistent tier (budget exhaustion cannot masquerade as a
+  proof in a later run);
 * parallel and portfolio discharge produce verdicts identical to the serial
   path.
 """
@@ -203,7 +204,8 @@ class TestEngineCaching:
         calls_after_first = engine.statistics.solver_calls
         second = engine.discharge_all(collector.obligations)
         assert engine.statistics.solver_calls == calls_after_first  # zero new calls
-        assert engine.statistics.cache_hits == 2
+        # A later wave of the same engine is answered by the session tier.
+        assert engine.statistics.incremental_reused == 2
         assert [r.status for r in first] == [r.status for r in second]
         # The cached counterexample is replayed too.
         assert second[1].counterexample == first[1].counterexample
@@ -214,24 +216,38 @@ class TestEngineCaching:
         engine = ObligationEngine(cache=ObligationCache(), portfolio=Portfolio())
         engine.discharge_all(left.obligations)
         engine.discharge_all(right.obligations)
-        assert engine.statistics.cache_hits == 1
+        assert engine.statistics.incremental_reused == 1
 
-    def test_unknown_is_not_cached(self):
+    def test_unknown_is_not_cached(self, tmp_path):
         # A non-linear obligation the procedures cannot settle: x*x == 2.
         unknowable = eq(var("x") * var("x"), 2)
         collector = _collector((unknowable, ObligationKind.SATISFIABILITY))
-        engine = ObligationEngine(
-            cache=ObligationCache(),
-            portfolio=Portfolio([SolverStrategy("no-fallback", enable_bounded_fallback=False)]),
-        )
-        first = engine.discharge_all(collector.obligations)
+
+        def engine():
+            return ObligationEngine(
+                cache=ObligationCache(cache_dir=str(tmp_path)),
+                portfolio=Portfolio(
+                    [SolverStrategy("no-fallback", enable_bounded_fallback=False)]
+                ),
+            )
+
+        first_engine = engine()
+        first = first_engine.discharge_all(collector.obligations)
         assert first[0].status is Status.UNKNOWN
-        calls = engine.statistics.solver_calls
-        second = engine.discharge_all(collector.obligations)
+        calls = first_engine.statistics.solver_calls
+        second = first_engine.discharge_all(collector.obligations)
         assert second[0].status is Status.UNKNOWN
-        # The obligation was re-attempted, not answered from the cache.
-        assert engine.statistics.solver_calls > calls
-        assert engine.statistics.cache_hits == 0
+        # Within one engine the session tier replays the UNKNOWN ...
+        assert first_engine.statistics.solver_calls == calls
+        assert first_engine.statistics.incremental_reused == 1
+        first_engine.save()
+        # ... but it never reaches the persistent store: a fresh engine on
+        # the same directory re-attempts the obligation.
+        fresh = engine()
+        third = fresh.discharge_all(collector.obligations)
+        assert third[0].status is Status.UNKNOWN
+        assert fresh.statistics.solver_calls > 0
+        assert fresh.statistics.cache_hits == 0
 
     def test_validity_and_sat_of_same_formula_do_not_collide(self):
         collector = _collector(

@@ -1,12 +1,13 @@
 """Incremental re-verification + guided frontier search (repro.explore).
 
-Covers the search-session verdict store (obligations settled once per
-search, UNKNOWN replay included), the generational explorer's strategy
-parity guarantee — a beam wide enough to hold every generation produces
-byte-identical verified sets, Pareto frontiers, obligation fingerprints
-and verdicts to the exhaustive walk, for every registered case study —
-the warm-cache zero-solver-call property, the frontier scheduler, and the
-fixed cap-accounting semantics of candidate enumeration.
+Covers the incremental gate (each pooled obligation fingerprinted once and
+settled once per search, replayed by the engine's session tier), the
+generational explorer's strategy parity guarantee — a beam wide enough to
+hold every generation produces byte-identical verified sets, Pareto
+frontiers, obligation fingerprints and verdicts to the exhaustive walk,
+for every registered case study — the warm-cache zero-solver-call
+property, the frontier scheduler, and the fixed cap-accounting semantics
+of candidate enumeration.
 
 The parity property runs each study at the deepest affordable
 configuration: depth 2 for the cheap studies, depth 1 with a tight
@@ -17,11 +18,11 @@ solver calls — verdicts are unaffected (the cache replays, never decides).
 """
 
 import json
+import sys
 
 import pytest
 
 from repro.cli import main
-from repro.engine import VerdictStore
 from repro.explore import (
     STRATEGIES,
     CandidateSpace,
@@ -31,88 +32,6 @@ from repro.explore import (
     explore,
 )
 from repro.casestudies.lu import LUApproximateMemory
-from repro.hoare.obligations import (
-    ObligationKind,
-    ObligationResult,
-    ProofObligation,
-    ProofSystem,
-)
-from repro.logic.formula import eq, sym, var
-from repro.solver.lia import Status
-
-
-def _obligation(value: int) -> ProofObligation:
-    return ProofObligation(
-        formula=eq(var(sym("x")), value),
-        kind=ObligationKind.SATISFIABILITY,
-        system=ProofSystem.ORIGINAL,
-        rule="test",
-        description="test obligation",
-    )
-
-
-class TestVerdictStore:
-    def test_records_and_replays(self):
-        store = VerdictStore()
-        obligation = _obligation(1)
-        assert store.get("key") is None
-        store.record(
-            "key",
-            ObligationResult(
-                obligation=obligation,
-                status=Status.SAT,
-                counterexample={sym("x"): 1},
-                elapsed_seconds=0.5,
-                reason="found model",
-            ),
-        )
-        verdict = store.get("key")
-        assert verdict is not None
-        assert verdict.status is Status.SAT
-        assert verdict.model == {sym("x"): 1}
-        assert verdict.reason == "found model"
-
-    def test_replays_unknown_verdicts(self):
-        # Unlike the persistent cache (which refuses UNKNOWN so bigger
-        # budgets can retry), the session store replays it — matching the
-        # engine's in-wave dedup contract, which is what keeps a
-        # generational search byte-identical to a single exhaustive wave.
-        store = VerdictStore()
-        store.record(
-            "key",
-            ObligationResult(
-                obligation=_obligation(1), status=Status.UNKNOWN, reason="budget"
-            ),
-        )
-        verdict = store.get("key")
-        assert verdict is not None
-        assert verdict.status is Status.UNKNOWN
-
-    def test_counters_partition_the_total(self):
-        store = VerdictStore()
-        result = ObligationResult(obligation=_obligation(1), status=Status.SAT)
-        store.record("a", result)
-        store.record("b", result)
-        assert store.get("a") is not None
-        assert store.get("a") is not None
-        assert store.get("missing") is None
-        assert store.reused == 2
-        assert store.delta == 2
-        assert store.total == 4
-        assert store.reuse_rate == 0.5
-        stats = store.stats()
-        assert stats["reused"] == 2.0
-        assert stats["delta_obligations"] == 2.0
-        assert stats["total_obligations"] == 4.0
-        assert stats["store_entries"] == 2.0
-        assert len(store) == 2
-
-    def test_peek_does_not_count(self):
-        store = VerdictStore()
-        store.record("a", ObligationResult(obligation=_obligation(1), status=Status.SAT))
-        assert store.peek("a") is not None
-        assert store.peek("missing") is None
-        assert store.reused == 0
 
 
 class TestRewardTable:
@@ -323,12 +242,31 @@ class TestIncrementalGate:
         baseline = report.outcomes[0]
         assert baseline.reused_obligations == 0
         assert baseline.delta_obligations == baseline.obligations
-        # Engine statistics mirror the store's counters.
+        # Engine statistics read the same store counters.
         assert report.engine_stats["incremental_reused"] == report.incremental["reused"]
         assert (
             report.engine_stats["delta_obligations"]
             == report.incremental["delta_obligations"]
         )
+
+    def test_each_pooled_obligation_is_fingerprinted_once(self, monkeypatch):
+        from repro.engine import fingerprint as original
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (
+                name.startswith("repro.engine")
+                and getattr(module, "fingerprint", None) is original
+            ):
+                monkeypatch.setattr(module, "fingerprint", counting)
+        report = explore("lu", depth=2, samples=2, seed=0)
+        assert report.incremental["total_obligations"] > 0
+        assert len(calls) == report.incremental["total_obligations"]
 
     def test_warm_cache_rerun_discharges_zero_solver_calls(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
