@@ -6,7 +6,8 @@ Characterises the engine layered over the decision procedures:
   a persistent cache directory — the warm run must answer every obligation
   from the cache with zero solver calls;
 * **parallel discharge speedup** at ``--jobs 1/2/4`` over the pooled
-  case-study obligation corpus (no cache, so every run does full work);
+  case-study obligation corpus (a fresh in-memory store per run, so every
+  run does full work);
 * the portfolio win table the engine learned over the corpus.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_engine.py -q``.
@@ -26,13 +27,13 @@ def _fresh_items():
 def test_cold_vs_warm_cache(tmp_path, capsys):
     cache_dir = str(tmp_path / "engine-cache")
 
-    cold_engine = ObligationEngine.for_batch(cache_dir=cache_dir)
+    cold_engine = ObligationEngine(cache_dir=cache_dir)
     cold_start = time.perf_counter()
     cold_report = verify_batch(_fresh_items(), engine=cold_engine)
     cold_seconds = time.perf_counter() - cold_start
     assert cold_report.all_verified
 
-    warm_engine = ObligationEngine.for_batch(cache_dir=cache_dir)
+    warm_engine = ObligationEngine(cache_dir=cache_dir)
     warm_start = time.perf_counter()
     warm_report = verify_batch(_fresh_items(), engine=warm_engine)
     warm_seconds = time.perf_counter() - warm_start
@@ -62,7 +63,7 @@ def test_cold_vs_warm_cache(tmp_path, capsys):
 def test_parallel_speedup(capsys):
     timings = {}
     for jobs in (1, 2, 4):
-        engine = ObligationEngine(jobs=jobs, cache=None)
+        engine = ObligationEngine(jobs=jobs)
         start = time.perf_counter()
         report = verify_batch(_fresh_items(), engine=engine)
         timings[jobs] = time.perf_counter() - start
@@ -70,7 +71,7 @@ def test_parallel_speedup(capsys):
 
     with capsys.disabled():
         print()
-        print("=== E8: parallel discharge speedup (no cache) ===")
+        print("=== E8: parallel discharge speedup (cold store) ===")
         for jobs, seconds in timings.items():
             speedup = timings[1] / seconds if seconds > 0 else float("inf")
             print(f"--jobs {jobs}: {seconds:.3f}s  (speedup {speedup:.2f}x)")
@@ -82,11 +83,11 @@ def test_parallel_speedup(capsys):
 def test_benchmark_warm_batch(benchmark, tmp_path):
     """Time a fully warm batch re-verification (pure cache replay)."""
     cache_dir = str(tmp_path / "bench-cache")
-    prime = verify_batch(_fresh_items(), engine=ObligationEngine.for_batch(cache_dir=cache_dir))
+    prime = verify_batch(_fresh_items(), engine=ObligationEngine(cache_dir=cache_dir))
     assert prime.all_verified
 
     def warm_batch():
-        engine = ObligationEngine.for_batch(cache_dir=cache_dir)
+        engine = ObligationEngine(cache_dir=cache_dir)
         return verify_batch(_fresh_items(), engine=engine)
 
     report = benchmark(warm_batch)
@@ -98,7 +99,7 @@ def test_benchmark_cold_batch_serial(benchmark):
     """Time an uncached serial batch verification of all case studies."""
 
     def cold_batch():
-        return verify_batch(_fresh_items(), engine=ObligationEngine(cache=None))
+        return verify_batch(_fresh_items(), engine=ObligationEngine())
 
     report = benchmark(cold_batch)
     assert report.all_verified

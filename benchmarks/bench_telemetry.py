@@ -73,7 +73,7 @@ def _verification_run(with_session):
     from repro.engine import ObligationEngine, case_study_items, verify_batch
 
     items = case_study_items([_STUDY])
-    engine = ObligationEngine.for_batch(jobs=1)
+    engine = ObligationEngine(jobs=1)
     session = telemetry.TelemetrySession() if with_session else None
     if session is not None:
         telemetry.install(session)

@@ -28,7 +28,6 @@ from ..semantics.choosers import Chooser
 from ..semantics.interpreter import run_original, run_relaxed
 from ..semantics.observation import check_program_compatibility
 from ..semantics.state import Outcome, State, Terminated, is_error
-from ..solver.interface import Solver
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..relaxations.sites import RelaxationSite
@@ -96,16 +95,17 @@ class CaseStudy:
     def acceptability_spec(self, program: Program) -> AcceptabilitySpec:
         raise NotImplementedError
 
-    def verify(self, solver: Optional[Solver] = None, engine=None) -> AcceptabilityReport:
+    def verify(self, engine=None) -> AcceptabilityReport:
         """Run the ⊢o and ⊢r verifications for this case study.
 
-        ``engine`` optionally routes obligation discharge through an
-        :class:`~repro.engine.core.ObligationEngine` (cache + portfolio +
-        parallel scheduler).
+        Obligations are discharged through ``engine`` (an
+        :class:`~repro.engine.core.ObligationEngine`, sharing its verdict
+        store and win table with other calls) or through a fresh in-memory
+        engine.
         """
         program = self.build_program()
         spec = self.acceptability_spec(program)
-        verifier = AcceptabilityVerifier(solver=solver, engine=engine)
+        verifier = AcceptabilityVerifier(engine=engine)
         return verifier.verify(program, spec, study=self.name)
 
     # -- relaxation-space exploration ----------------------------------------------

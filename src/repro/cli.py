@@ -189,7 +189,7 @@ def _build_batch_engine(args: argparse.Namespace):
         raise SystemExit("--jobs must be >= 1")
     if args.budget is not None and args.budget <= 0:
         raise SystemExit("--budget must be a positive number of seconds")
-    return ObligationEngine.for_batch(
+    return ObligationEngine(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         budget_seconds=args.budget,
@@ -242,16 +242,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_verify_case_study(args: argparse.Namespace) -> int:
     _apply_backend(args)
     case_study = _case_study_by_name(args.name)
-    engine = None
-    # --json promises cache hit/miss counters, so it needs an engine too
-    # (an in-memory cache when no --cache-dir is given).
-    if args.jobs != 1 or args.cache_dir or args.budget is not None or args.json_out:
-        engine = _build_batch_engine(args)
+    engine = _build_batch_engine(args)
     with _tracing(args) as session:
         with telemetry.span("verify-case-study", study=case_study.name):
             report = case_study.verify(engine=engine)
-        if engine is not None:
-            engine.save()  # persist the cache and the portfolio win table
+        engine.save()  # persist the cache and the portfolio win table
     print(report.summary())
     diagnostics = None
     if args.explain:
@@ -436,9 +431,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     if not args.name:
         raise SystemExit("pass a case-study name (with --site) or --from-json FILE")
-    engine = None
-    if args.jobs != 1 or args.cache_dir or args.budget is not None:
-        engine = _build_batch_engine(args)
+    engine = _build_batch_engine(args)
     with _tracing(args) as session:
         with telemetry.span("explain", study=args.name):
             try:
@@ -447,8 +440,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 )
             except ValueError as error:
                 raise SystemExit(str(error))
-        if engine is not None:
-            engine.save()
+        engine.save()
     print(report.render())
     if args.json_out:
         emit_json(
@@ -485,10 +477,13 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
 
 
 def cmd_effort(args: argparse.Namespace) -> int:
+    from .engine import ObligationEngine
+
+    engine = ObligationEngine()
     rows = []
     for cls in all_case_studies():
         case_study = cls()
-        report = case_study.verify()
+        report = case_study.verify(engine=engine)
         rows.extend(effort_rows(case_study.name, report, case_study.paper_proof_lines))
     print(format_effort_table(rows))
     return 0

@@ -11,10 +11,9 @@ commands cannot drift apart:
 * engine-backed commands carry ``engine`` (scheduler/portfolio counters),
   ``solver`` (solver-level counters aggregated across every strategy and
   worker process: ``cube_count``, ``cooper_eliminations``,
-  ``bounded_fallbacks``, ``unknown_results``, ``total_seconds``, ...) and,
-  when a cache is attached, ``cache`` (hit/miss counters with ``hits`` /
-  ``misses`` / ``hit_rate``) — injected uniformly by
-  :func:`report_payload` from the engine instance;
+  ``bounded_fallbacks``, ``unknown_results``, ``total_seconds``, ...) and
+  ``cache`` (hit/miss counters with ``hits`` / ``misses`` / ``hit_rate``)
+  — injected uniformly by :func:`report_payload` from the engine instance;
 * when the command ran under ``--trace`` (an active telemetry session),
   the payload carries a ``telemetry`` section — span aggregates by name
   plus the session's counters/gauges/histograms
@@ -39,7 +38,11 @@ engine counters ``incremental_reused`` / ``delta_obligations``.  Those
 counters are now read from the engine's one tiered verdict store (session
 hits are ``reused``; ``delta_obligations`` is every other obligation passed
 to the engine, so it is no longer 0 outside ``explore``), with the same
-keys, so the version stays 5;
+keys, so the version stays 5.  Every ``verify-case-study`` and
+``explain`` run now discharges through an engine, so their envelopes always
+carry ``engine`` / ``solver`` / ``cache`` (before, only with ``--json``,
+``--jobs``, ``--cache-dir`` or ``--budget``); the sections were already
+optional, so the version stays 5;
 version 4 added ``solver.backend`` (the resolved
 evaluation backend the run's queries executed on) and the vector-backend
 counters (``vector_rows``, ``vector_batches``, ``vector_searches``,
@@ -83,8 +86,7 @@ def report_payload(
     if engine is not None:
         payload.setdefault("engine", engine.statistics.as_dict())
         payload.setdefault("solver", dict(engine.solver_statistics.as_dict()))
-        if engine.cache is not None:
-            payload.setdefault("cache", engine.cache.stats())
+        payload.setdefault("cache", engine.cache.stats())
     # Record the backend queries actually ran on (auto resolved), so a
     # report is self-describing about how its numbers were produced.  The
     # solver section may come from ``core`` (batch/explore reports build

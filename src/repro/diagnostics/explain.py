@@ -3,9 +3,9 @@
 Three entry points, all built on :mod:`repro.diagnostics.report`:
 
 * :func:`explain_case_study` — apply named relaxation sites to a registered
-  case study, verify the transformed program (optionally through an engine,
-  so ``--cache-dir`` replays answered obligations with zero solver calls),
-  and diagnose every undischarged obligation;
+  case study, verify the transformed program through an obligation engine
+  (whose ``--cache-dir`` store replays answered obligations with zero
+  solver calls), and diagnose every undischarged obligation;
 * :func:`explain_from_payload` — replay the ``diagnostics`` section of a
   ``--json`` report envelope (written by ``--explain``) without re-running
   the solver at all;
@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..casestudies import resolve_case_study
-from ..hoare.obligations import discharge
-from ..hoare.verifier import AcceptabilityReport, AcceptabilityVerifier
+from ..hoare.verifier import AcceptabilityVerifier
 from ..relaxations.sites import apply_site
 from .report import FailureDiagnostic, diagnose_report, render_diagnostics
 
@@ -68,7 +67,6 @@ class ExplainReport:
 def explain_case_study(
     name: str,
     site_ids: Sequence[str] = (),
-    solver=None,
     engine=None,
 ) -> ExplainReport:
     """Apply ``site_ids`` to a case study, verify, and diagnose failures.
@@ -95,17 +93,9 @@ def explain_case_study(
         applied.append(site_id)
 
     spec = case.acceptability_spec(program)
-    verifier = AcceptabilityVerifier(solver=solver, engine=engine)
+    verifier = AcceptabilityVerifier(engine=engine)
     bundle = verifier.collect(program, spec, study=case.name, sites=tuple(applied))
-    original = discharge(
-        bundle.original, verifier.solver, bundle.program_name, engine=engine
-    )
-    relaxed = discharge(
-        bundle.relaxed, verifier.solver, bundle.program_name, engine=engine
-    )
-    report = AcceptabilityReport(
-        program_name=bundle.program_name, original=original, relaxed=relaxed
-    )
+    report = verifier.discharge_collected(bundle)
     return ExplainReport(
         study=case.name,
         program=bundle.program_name,

@@ -16,16 +16,19 @@ obligations) and the solver stack (which decides individual queries):
 * :mod:`~repro.engine.scheduler` — parallel discharge over a
   ``ProcessPoolExecutor`` with per-obligation budgets;
 * :mod:`~repro.engine.core` — :class:`ObligationEngine`, the facade tying
-  the pieces together behind ``discharge_all`` / ``discharge_collected``
-  (generational searches re-discharge near-identical waves through one
-  engine and pay only for the obligations its session has not settled);
+  the pieces together behind ``discharge_all`` / ``discharge_collected``:
+  one discharge path for every entry point (a single case study, a batch,
+  an explorer generation), so every verdict is fingerprinted, deduplicated,
+  stored and decided by the portfolio (generational searches re-discharge
+  near-identical waves through one engine and pay only for the obligations
+  its session has not settled);
 * :mod:`~repro.engine.batch` — multi-program batch verification
   (``repro verify-batch``) pooling every program's obligations into one
   discharge wave and emitting a structured report.
 """
 
 from .cache import CachedVerdict, ObligationCache
-from .core import EngineStatistics, ObligationEngine, default_engine
+from .core import EngineStatistics, ObligationEngine
 from .fingerprint import canonical_form, fingerprint
 from .portfolio import (
     DEFAULT_STRATEGIES,
@@ -61,7 +64,6 @@ __all__ = [
     "SolverStrategy",
     "canonical_form",
     "case_study_items",
-    "default_engine",
     "directory_items",
     "fingerprint",
     "is_conclusive",

@@ -6,7 +6,8 @@ generation is cheap), pooled into a single :meth:`ObligationEngine.
 discharge_all` wave — so independent obligations from different programs
 prove concurrently and share one cache — and the verdicts are then scattered
 back into per-program :class:`~repro.hoare.verifier.AcceptabilityReport`
-objects identical in shape to the serial path's.
+objects identical in shape (and verdict) to
+:meth:`~repro.hoare.verifier.AcceptabilityVerifier.verify`'s.
 
 Batch items come from the built-in case studies
 (:func:`case_study_items`) or from a directory of ``.rlx`` sources
@@ -35,7 +36,6 @@ from ..hoare.verifier import (
 )
 from ..lang.ast import Program
 from ..lang.parser import parse_program
-from ..solver.interface import Solver
 from .core import ObligationEngine
 
 
@@ -175,10 +175,9 @@ class BatchProgramResult:
     #: The verified program with source/spans attached (not serialised) —
     #: kept so ``--explain`` can render annotated excerpts post-hoc.
     program: Optional[Program] = None
-    #: Incremental-gate accounting, populated whenever the engine
-    #: fingerprints (it has a verdict store or a portfolio): how many of
-    #: this program's pooled obligations the store's session tier replayed
-    #: vs how many were answered afresh (the delta), plus the canonical
+    #: Incremental-gate accounting: how many of this program's pooled
+    #: obligations the store's session tier replayed vs how many were
+    #: answered afresh (the delta), plus the canonical
     #: fingerprint and verdict status of every obligation in pooled order
     #: (original layer then relaxed).  Not serialised by ``as_dict`` — the
     #: explorer folds them into its own per-candidate records.
@@ -284,22 +283,21 @@ def verify_batch(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     budget_seconds: Optional[float] = None,
-    collect_solver: Optional[Solver] = None,
 ) -> BatchReport:
     """Verify every batch item through one pooled engine discharge wave.
 
     Pooled obligations the engine's session already settled in an earlier
     wave are replayed by its verdict store; only the delta is discharged.
-    Whenever the engine fingerprints, the per-program reuse counts,
-    obligation fingerprints and verdict statuses are attached to each
-    :class:`BatchProgramResult` from the keys the engine computed.
+    The per-program reuse counts, obligation fingerprints and verdict
+    statuses are attached to each :class:`BatchProgramResult` from the keys
+    the engine computed.
     """
     if engine is None:
-        engine = ObligationEngine.for_batch(
+        engine = ObligationEngine(
             jobs=jobs, cache_dir=cache_dir, budget_seconds=budget_seconds
         )
     start = time.perf_counter()
-    verifier = AcceptabilityVerifier(solver=collect_solver or Solver())
+    verifier = AcceptabilityVerifier()
 
     # The root span every other event of this run nests under — collect
     # spans, the discharge wave, worker spans re-parented by the engine.
@@ -372,25 +370,20 @@ def verify_batch(
                     program=bundle.program,
                 )
                 end = offset + n_original + n_relaxed
-                if end > offset and keys[offset] is not None:
-                    result.obligation_fingerprints = tuple(keys[offset:end])
-                    result.obligation_statuses = tuple(
-                        item_result.status.value for item_result in results[offset:end]
-                    )
-                    result.reused_obligations = sum(reused[offset:end])
-                    result.delta_obligations = (
-                        end - offset - result.reused_obligations
-                    )
+                result.obligation_fingerprints = tuple(keys[offset:end])
+                result.obligation_statuses = tuple(
+                    item_result.status.value for item_result in results[offset:end]
+                )
+                result.reused_obligations = sum(reused[offset:end])
+                result.delta_obligations = end - offset - result.reused_obligations
                 report.programs.append(result)
 
         engine.save()
     report.elapsed_seconds = time.perf_counter() - start
     report.engine_stats = engine.statistics.as_dict()
     report.solver_stats = engine.solver_statistics.as_dict()
-    if engine.cache is not None:
-        report.cache_stats = engine.cache.stats()
-    if engine.portfolio is not None:
-        report.strategy_wins = engine.portfolio.win_table()
+    report.cache_stats = engine.cache.stats()
+    report.strategy_wins = engine.portfolio.win_table()
     return report
 
 

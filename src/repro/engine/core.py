@@ -2,7 +2,9 @@
 
 :class:`ObligationEngine` sits between the Hoare layer (which *collects*
 proof obligations) and the solver stack (which *decides* individual
-queries).  For every batch of obligations it:
+queries).  Every entry point — a single case study, a batch, an explorer
+generation — discharges through the same path.  For every batch of
+obligations the engine:
 
 1. computes each obligation's canonical fingerprint
    (:mod:`repro.engine.fingerprint`), once;
@@ -11,18 +13,12 @@ queries).  For every batch of obligations it:
    settled in an earlier wave, ``UNKNOWN`` included), then the persistent
    tier (conclusive verdicts, optionally on disk) — or from an identical
    obligation pending earlier in the same wave;
-3. discharges the remaining obligations either serially on a caller-provided
-   :class:`~repro.solver.interface.Solver` (the seed-compatible path) or via
-   the strategy portfolio (:mod:`repro.engine.portfolio`) on the parallel
-   scheduler (:mod:`repro.engine.scheduler`);
+3. discharges the remaining obligations through the strategy portfolio
+   (:mod:`repro.engine.portfolio`) on the scheduler
+   (:mod:`repro.engine.scheduler`), in-process for one job;
 4. records every settled verdict in the session tier, stores conclusive
    ones in the persistent tier, and credits the winning strategy so future
    obligations try it first.
-
-The engine constructed by :func:`default_engine` — one solver, one job, no
-cache, no portfolio — reproduces the seed's serial discharge loop exactly
-(including its solver-statistics accounting), which is what the thin
-:func:`repro.hoare.obligations.discharge` wrapper uses.
 """
 
 from __future__ import annotations
@@ -34,13 +30,12 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 from .. import telemetry
 from ..hoare.obligations import (
     ObligationCollector,
-    ObligationKind,
     ObligationResult,
     ProofObligation,
     VerificationReport,
 )
 from ..solver.backend import requested_backend
-from ..solver.interface import Solver, SolverResult, SolverStatistics
+from ..solver.interface import SolverStatistics
 from ..solver.lia import Status
 from .cache import ObligationCache
 from .fingerprint import fingerprint
@@ -54,10 +49,10 @@ class EngineStatistics:
 
     The store counters — ``cache_hits`` / ``cache_misses`` (persistent
     tier) and ``incremental_reused`` (session tier) — are read from the
-    engine's :class:`~repro.engine.cache.ObligationCache`, not kept twice;
-    they stay zero for an engine without one.
+    engine's :class:`~repro.engine.cache.ObligationCache`, not kept twice.
     """
 
+    cache: ObligationCache = field(repr=False, compare=False)
     #: Every obligation passed to the engine, however it was answered.
     obligations: int = 0
     dedup_hits: int = 0  # in-wave duplicates answered by a representative
@@ -66,20 +61,19 @@ class EngineStatistics:
     parallel_batches: int = 0
     unknown_results: int = 0
     total_seconds: float = 0.0
-    cache: Optional[ObligationCache] = field(default=None, repr=False, compare=False)
 
     @property
     def cache_hits(self) -> int:
-        return self.cache.hits if self.cache is not None else 0
+        return self.cache.hits
 
     @property
     def cache_misses(self) -> int:
-        return self.cache.misses if self.cache is not None else 0
+        return self.cache.misses
 
     @property
     def incremental_reused(self) -> int:
         """Obligations replayed from the session tier (settled in an earlier wave)."""
-        return self.cache.reused if self.cache is not None else 0
+        return self.cache.reused
 
     @property
     def delta_obligations(self) -> int:
@@ -106,9 +100,8 @@ class DischargedWave(NamedTuple):
     """One :meth:`ObligationEngine.discharge_wave`, in input order."""
 
     results: List[ObligationResult]
-    #: Each obligation's canonical fingerprint — ``None`` throughout when
-    #: the engine does not fingerprint (the plain serial path).
-    keys: List[Optional[str]]
+    #: Each obligation's canonical fingerprint.
+    keys: List[str]
     #: True where the session tier replayed a verdict settled earlier.
     reused: List[bool]
 
@@ -130,80 +123,48 @@ def _replayed(
 
 
 class ObligationEngine:
-    """Discharges proof obligations through cache, portfolio and scheduler.
+    """Discharges proof obligations through store, portfolio and scheduler.
 
     Parameters
     ----------
-    solver:
-        The solver used by the plain serial path (no portfolio, one job).
-        Shared with the Hoare layer so its statistics keep accumulating
-        exactly as in the seed.  Ignored when a portfolio is in play.
     jobs:
-        Worker processes for parallel discharge.  ``jobs > 1`` implies the
-        portfolio path (worker processes build their own solvers).
-    cache / cache_dir:
-        A verdict store instance, or a directory to create a persistent one
-        in.  ``None`` disables both tiers (in-wave dedup still applies on
-        the portfolio path).
-    portfolio:
-        The strategy portfolio; created on demand when ``jobs > 1``.
+        Worker processes for discharge (``1`` runs in-process).
+    cache_dir:
+        Directory the persistent tier of the verdict store and the
+        portfolio win table are loaded from and saved to.  ``None`` keeps
+        both in memory for the engine's lifetime.
     budget_seconds:
-        Per-obligation wall-clock budget across portfolio strategies
-        (implies the portfolio path, like ``jobs > 1``).
+        Per-obligation wall-clock budget across portfolio strategies.
+    portfolio:
+        The strategy portfolio; defaults to
+        :data:`~repro.engine.portfolio.DEFAULT_STRATEGIES` with the win
+        table from ``cache_dir``.  Tests pass their own to substitute
+        strategies.
     """
 
     def __init__(
         self,
-        solver: Optional[Solver] = None,
         jobs: int = 1,
-        cache: Optional[ObligationCache] = None,
         cache_dir: Optional[str] = None,
-        portfolio: Optional[Portfolio] = None,
         budget_seconds: Optional[float] = None,
+        portfolio: Optional[Portfolio] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if cache is None and cache_dir is not None:
-            cache = ObligationCache(cache_dir=cache_dir)
-        # Parallelism and per-obligation budgets are portfolio-path features:
-        # create the default portfolio rather than silently ignoring them.
-        if portfolio is None and (jobs > 1 or budget_seconds is not None):
+        if portfolio is None:
             portfolio = Portfolio()
-        self.solver = solver
+            if cache_dir is not None:
+                portfolio.load(cache_dir)
         self.jobs = jobs
-        self.cache = cache
+        self.cache = ObligationCache(cache_dir=cache_dir)
         self.portfolio = portfolio
         self.budget_seconds = budget_seconds
-        self.statistics = EngineStatistics(cache=cache)
+        self.statistics = EngineStatistics(cache=self.cache)
         #: Solver-level counters aggregated across every discharge this
-        #: engine performed: the portfolio path merges worker statistics
-        #: shipped back with each outcome, the serial path merges the shared
-        #: solver's delta per wave (so queries the caller makes on that
-        #: solver outside the engine are not attributed to it).
+        #: engine performed, merged from the statistics each outcome ships
+        #: back (from worker processes too).
         self.solver_statistics = SolverStatistics()
         self._scheduler = DischargeScheduler(jobs=jobs)
-
-    @classmethod
-    def for_batch(
-        cls,
-        jobs: int = 1,
-        cache_dir: Optional[str] = None,
-        budget_seconds: Optional[float] = None,
-    ) -> "ObligationEngine":
-        """An engine configured for batch verification: cache + portfolio.
-
-        When ``cache_dir`` is given, both the obligation cache and the
-        portfolio win table persist across invocations.
-        """
-        portfolio = Portfolio()
-        if cache_dir is not None:
-            portfolio.load(cache_dir)
-        return cls(
-            jobs=jobs,
-            cache=ObligationCache(cache_dir=cache_dir),
-            portfolio=portfolio,
-            budget_seconds=budget_seconds,
-        )
 
     # -- discharge ---------------------------------------------------------------
 
@@ -227,16 +188,12 @@ class ObligationEngine:
         start = time.perf_counter()
         count = len(obligations)
         results: List[Optional[ObligationResult]] = [None] * count
-        keys: List[Optional[str]] = [None] * count
+        keys: List[str] = []
         reused = [False] * count
         pending: List[int] = []
         # Duplicate obligations inside one wave (e.g. the same entailment
         # arising in several programs of a batch) are solved once: later
-        # occurrences wait for the representative's verdict.  Dedup applies
-        # whenever fingerprints are computed — with a cache or on the
-        # portfolio path; the plain serial path stays seed-identical (one
-        # solver call per obligation, duplicates included).
-        fingerprinting = self.cache is not None or self.portfolio is not None
+        # occurrences wait for the representative's verdict.
         cache = self.cache
         pending_by_key: Dict[str, int] = {}
         duplicates: Dict[int, List[int]] = {}
@@ -245,46 +202,35 @@ class ObligationEngine:
         with telemetry.span("discharge.wave", obligations=count):
             with telemetry.span("fingerprint", obligations=count):
                 for index, obligation in enumerate(obligations):
-                    if fingerprinting:
-                        key = keys[index] = fingerprint(
-                            obligation.formula, obligation.kind.value
+                    key = fingerprint(obligation.formula, obligation.kind.value)
+                    keys.append(key)
+                    # A pending key already missed both tiers, and neither
+                    # changes before the wave ends.
+                    representative = pending_by_key.get(key)
+                    if representative is not None:
+                        duplicates.setdefault(representative, []).append(index)
+                        continue
+                    verdict = cache.recall(key)
+                    if verdict is not None:
+                        reused[index] = True
+                    else:
+                        verdict = cache.get(key)
+                        telemetry.count(
+                            "engine.cache.misses"
+                            if verdict is None
+                            else "engine.cache.hits." + verdict.origin
                         )
-                        # A pending key already missed both tiers, and
-                        # neither changes before the wave ends.
-                        representative = pending_by_key.get(key)
-                        if representative is not None:
-                            duplicates.setdefault(representative, []).append(index)
-                            continue
-                        verdict = None
-                        if cache is not None:
-                            verdict = cache.recall(key)
-                            if verdict is not None:
-                                reused[index] = True
-                            else:
-                                verdict = cache.get(key)
-                                telemetry.count(
-                                    "engine.cache.misses"
-                                    if verdict is None
-                                    else "engine.cache.hits." + verdict.origin
-                                )
-                        if verdict is not None:
-                            results[index] = _replayed(
-                                obligation, verdict.status, verdict.model, verdict.reason
-                            )
-                            continue
-                        pending_by_key[key] = index
+                    if verdict is not None:
+                        results[index] = _replayed(
+                            obligation, verdict.status, verdict.model, verdict.reason
+                        )
+                        continue
+                    pending_by_key[key] = index
                     pending.append(index)
 
             if pending:
-                with telemetry.span(
-                    "dispatch", pending=len(pending), jobs=self.jobs
-                ) as dispatch_span:
-                    if self.portfolio is not None:
-                        dispatch_span.set_attribute("path", "portfolio")
-                        self._discharge_portfolio(obligations, pending, keys, results)
-                    else:
-                        dispatch_span.set_attribute("path", "serial")
-                        self._discharge_serial(obligations, pending, keys, results)
+                with telemetry.span("dispatch", pending=len(pending), jobs=self.jobs):
+                    self._discharge(obligations, pending, keys, results)
 
         for representative, followers in duplicates.items():
             settled = results[representative]
@@ -304,13 +250,12 @@ class ObligationEngine:
             raise RuntimeError(
                 f"discharge_all settled {len(settled_results)} of {count} obligations"
             )
-        if cache is not None:
-            for key, result in zip(keys, settled_results):
-                cache.record(key, result.status, result.counterexample, result.reason)
-            reused_count = sum(reused)
-            telemetry.count("engine.incremental.reused", reused_count)
-            telemetry.count("engine.incremental.delta", count - reused_count)
-            cache.save()
+        for key, result in zip(keys, settled_results):
+            cache.record(key, result.status, result.counterexample, result.reason)
+        reused_count = sum(reused)
+        telemetry.count("engine.incremental.reused", reused_count)
+        telemetry.count("engine.incremental.delta", count - reused_count)
+        cache.save()
         self.statistics.total_seconds += time.perf_counter() - start
         return DischargedWave(settled_results, keys, reused)
 
@@ -329,79 +274,16 @@ class ObligationEngine:
         report.elapsed_seconds = time.perf_counter() - start
         return report
 
-    # -- discharge paths ---------------------------------------------------------
+    # -- discharge ----------------------------------------------------------------
 
-    def _discharge_serial(
+    def _discharge(
         self,
         obligations: Sequence[ProofObligation],
         pending: Sequence[int],
-        keys: Sequence[Optional[str]],
+        keys: Sequence[str],
         results: List[Optional[ObligationResult]],
     ) -> None:
-        """The seed-compatible path: one shared solver, obligations in order."""
-        solver = self.solver
-        if solver is None:
-            solver = self.solver = Solver()
-        before = solver.statistics.as_dict()
-        for index in pending:
-            obligation = obligations[index]
-            obligation_start = time.perf_counter()
-            with telemetry.span(
-                "discharge",
-                index=index,
-                kind=obligation.kind.value,
-                rule=obligation.rule,
-                strategy="serial",
-            ) as discharge_span:
-                provenance = obligation.provenance
-                if provenance is not None:
-                    if provenance.program:
-                        discharge_span.set_attribute("program", provenance.program)
-                    if provenance.study:
-                        discharge_span.set_attribute("study", provenance.study)
-                    if provenance.span is not None:
-                        discharge_span.set_attribute(
-                            "location", provenance.location()
-                        )
-                    if provenance.sites:
-                        discharge_span.set_attribute(
-                            "sites", ",".join(provenance.sites)
-                        )
-                if obligation.kind is ObligationKind.VALIDITY:
-                    result: SolverResult = solver.check_valid(obligation.formula)
-                else:
-                    result = solver.check_sat(obligation.formula)
-                discharge_span.set_attribute("status", result.status.value)
-            self.statistics.solver_calls += 1
-            if result.status is Status.UNKNOWN:
-                self.statistics.unknown_results += 1
-            results[index] = ObligationResult(
-                obligation=obligation,
-                status=result.status,
-                counterexample=result.model,
-                elapsed_seconds=time.perf_counter() - obligation_start,
-                reason=result.reason,
-            )
-            self._store(keys[index], result.status, result.model, result.reason, "serial")
-        after = solver.statistics.as_dict()
-        self.solver_statistics.merge(
-            {key: after[key] - before.get(key, 0) for key in after}
-        )
-        # The shared solver has no portfolio, so its wave delta is booked
-        # under the pseudo-strategy "serial" — keeping the per-strategy
-        # breakdown total-preserving on both discharge paths.
-        self.solver_statistics.add_strategy_seconds(
-            "serial", after["total_seconds"] - before.get("total_seconds", 0.0)
-        )
-
-    def _discharge_portfolio(
-        self,
-        obligations: Sequence[ProofObligation],
-        pending: Sequence[int],
-        keys: Sequence[Optional[str]],
-        results: List[Optional[ObligationResult]],
-    ) -> None:
-        assert self.portfolio is not None
+        """Run the portfolio on every pending obligation, via the scheduler."""
         collect_telemetry = telemetry.enabled()
         tasks = []
         for index in pending:
@@ -453,44 +335,25 @@ class ObligationEngine:
                 elapsed_seconds=outcome.elapsed_seconds,
                 reason=outcome.reason,
             )
-            self._store(
+            self.cache.put(
                 keys[outcome.index],
                 outcome.status,
-                outcome.model,
-                outcome.reason,
-                outcome.strategy,
+                model=outcome.model,
+                reason=outcome.reason,
+                strategy=outcome.strategy,
             )
-
-    def _store(
-        self,
-        key: Optional[str],
-        status: Status,
-        model,
-        reason: str,
-        strategy: str,
-    ) -> None:
-        if self.cache is not None and key is not None:
-            self.cache.put(key, status, model=model, reason=reason, strategy=strategy)
 
     # -- persistence / reporting --------------------------------------------------
 
     def save(self) -> None:
         """Flush the cache and portfolio win table to their cache directory."""
-        if self.cache is not None:
-            self.cache.save()
-            if self.portfolio is not None and self.cache.cache_dir is not None:
-                self.portfolio.save(self.cache.cache_dir)
+        self.cache.save()
+        if self.cache.cache_dir is not None:
+            self.portfolio.save(self.cache.cache_dir)
 
     def stats(self) -> Dict[str, Dict[str, float]]:
-        report = {
+        return {
             "engine": self.statistics.as_dict(),
             "solver": self.solver_statistics.as_dict(),
+            "cache": self.cache.stats(),
         }
-        if self.cache is not None:
-            report["cache"] = self.cache.stats()
-        return report
-
-
-def default_engine(solver: Optional[Solver] = None) -> ObligationEngine:
-    """The engine behind the classic synchronous discharge path."""
-    return ObligationEngine(solver=solver)

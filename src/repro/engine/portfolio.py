@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import telemetry
@@ -97,19 +97,23 @@ def run_portfolio(
     """Attempt ``strategies`` in order until one is conclusive.
 
     Returns ``(result, winning_strategy_name, attempts)``; the winner is
-    ``""`` when no strategy concluded.  ``budget_seconds`` bounds the *total*
-    wall clock across strategies: once spent, remaining strategies are
-    skipped (at least one strategy always runs).  The budget is checked
-    *between* strategies only — a strategy that is already running is never
-    preempted, so one slow decision-procedure call can overshoot the budget;
-    hard preemption would require killing worker processes mid-solve.
+    ``""`` when no strategy concluded, and the result's reason then names
+    every strategy attempted, in order (``cube-fast: …; full: …``), so the
+    strongest attempt's reason is not hidden behind a weaker one's.
+    ``budget_seconds`` bounds the *total* wall clock across strategies: once
+    spent, remaining strategies are skipped (at least one strategy always
+    runs).  The budget is checked *between* strategies only — a strategy
+    that is already running is never preempted, so one slow
+    decision-procedure call can overshoot the budget; hard preemption would
+    require killing worker processes mid-solve.
 
     When ``statistics`` is given, every attempted solver's counters are
     merged into it (the scheduler ships them back to the engine so batch
     reports can expose solver-level statistics across worker processes).
     """
     start = time.perf_counter()
-    last = SolverResult(Status.UNKNOWN, reason="no strategy attempted")
+    last = SolverResult(Status.UNKNOWN)
+    reasons: List[str] = []
     attempts = 0
     for strategy in strategies:
         if (
@@ -117,14 +121,17 @@ def run_portfolio(
             and attempts > 0
             and time.perf_counter() - start >= budget_seconds
         ):
-            last = SolverResult(
-                Status.UNKNOWN,
-                reason=(
-                    f"per-obligation budget of {budget_seconds:g}s exhausted "
-                    f"after {attempts} strategies (last: {last.reason or last.status.value})"
+            return (
+                replace(
+                    last,
+                    reason=(
+                        f"per-obligation budget of {budget_seconds:g}s exhausted "
+                        f"after {attempts} strategies ({'; '.join(reasons)})"
+                    ),
                 ),
+                "",
+                attempts,
             )
-            break
         solver = strategy.build()
         with telemetry.span("strategy", name=strategy.name, kind=kind) as attempt_span:
             if kind == "validity":
@@ -143,7 +150,8 @@ def run_portfolio(
         if is_conclusive(kind, result.status):
             return result, strategy.name, attempts
         last = result
-    return last, "", attempts
+        reasons.append(f"{strategy.name}: {result.reason or result.status.value}")
+    return replace(last, reason="; ".join(reasons) or "no strategy attempted"), "", attempts
 
 
 class Portfolio:

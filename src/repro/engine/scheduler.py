@@ -9,8 +9,8 @@ outcome (the formula IR is made of frozen dataclasses, so tasks pickle
 as-is).
 
 ``jobs=1`` (or a single task) short-circuits to an in-process loop with no
-executor, which keeps the serial path free of multiprocessing overhead and
-usable from environments where forking is undesirable.
+executor, which keeps single-job discharge free of multiprocessing overhead
+and usable from environments where forking is undesirable.
 """
 
 from __future__ import annotations

@@ -88,8 +88,8 @@ class CandidateOutcome:
 
         Byte-identical digests mean byte-identical obligation sets *and*
         verdicts — the parity currency the beam-vs-exhaustive guarantee is
-        stated (and CI-gated) in.  ``None`` when the engine does not
-        fingerprint (a plain serial engine without a verdict store).
+        stated (and CI-gated) in.  ``None`` for a candidate without
+        obligations.
         """
         if not self.obligation_fingerprints:
             return None
@@ -363,7 +363,7 @@ def explore(
         )
     start = time.perf_counter()
     if engine is None:
-        engine = ObligationEngine.for_batch(
+        engine = ObligationEngine(
             jobs=jobs, cache_dir=cache_dir, budget_seconds=budget_seconds
         )
     obligations_before = engine.statistics.obligations
@@ -452,8 +452,7 @@ def explore(
     report.reward_table = scheduler.rewards.as_dict()
     report.engine_stats = engine.statistics.as_dict()
     report.solver_stats = engine.solver_statistics.as_dict()
-    if engine.cache is not None:
-        report.cache_stats = engine.cache.stats()
+    report.cache_stats = engine.cache.stats()
     return report
 
 
@@ -466,9 +465,7 @@ def _incremental_section(
         "delta_obligations": float(total - reused),
         "total_obligations": float(total),
         "reuse_rate": reused / total if total else 0.0,
-        "store_entries": float(
-            engine.cache.session_entries if engine.cache is not None else 0
-        ),
+        "store_entries": float(engine.cache.session_entries),
     }
 
 

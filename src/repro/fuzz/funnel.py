@@ -370,7 +370,7 @@ def verify_leg(
         program = GeneratedStudy.of(item).build_program()
         entries.append((item.name, program, derive_spec(program)))
     with use_backend(backend):
-        engine = ObligationEngine.for_batch(jobs=jobs, cache_dir=cache_dir)
+        engine = ObligationEngine(jobs=jobs, cache_dir=cache_dir)
         report = verify_batch(program_items(entries, study="fuzz"), engine=engine)
     return {result.name: signature_of(result) for result in report.programs}
 

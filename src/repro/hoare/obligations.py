@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..lang.ast import Node, Span
 from ..logic.formula import Formula, formula_size
-from ..solver.interface import Solver, SolverResult
+from ..solver.interface import SolverResult
 from ..solver.lia import Status
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -285,22 +285,20 @@ class ObligationCollector:
 
 def discharge(
     collector: ObligationCollector,
-    solver: Solver,
     program_name: str,
     engine: Optional["ObligationEngine"] = None,
 ) -> VerificationReport:
     """Discharge every collected obligation and build a report.
 
-    This is now a thin wrapper over the obligation engine
-    (:mod:`repro.engine`): without an explicit ``engine`` it constructs the
-    default serial engine around ``solver``, which reproduces the classic
-    synchronous discharge loop (one solver call per obligation, in order).
-    Passing an engine adds result caching, parallel discharge and portfolio
-    scheduling without changing this call site.
+    A thin wrapper over the obligation engine (:mod:`repro.engine`): every
+    obligation is fingerprinted, answered from the engine's verdict store or
+    decided by its strategy portfolio.  Without an explicit ``engine`` a
+    fresh in-memory one is built for this call; pass one to share its store,
+    win table and ``--jobs`` workers across calls.
     """
     if engine is None:
         # Imported lazily: the engine package imports this module.
         from ..engine.core import ObligationEngine
 
-        engine = ObligationEngine(solver=solver)
+        engine = ObligationEngine()
     return engine.discharge_collected(collector, program_name)

@@ -237,7 +237,7 @@ class RelationalProver:
         collector, name = self.collect(
             program_or_stmt, precondition, postcondition, program_name
         )
-        return discharge(collector, self.solver, name, engine=self.engine)
+        return discharge(collector, name, engine=self.engine)
 
     # -- forward symbolic execution ---------------------------------------------------
 

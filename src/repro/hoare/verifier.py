@@ -136,11 +136,11 @@ class CollectedAcceptability:
 class AcceptabilityVerifier:
     """Verify a relaxed program against an :class:`AcceptabilitySpec`.
 
-    When an obligation ``engine`` is supplied, the side conditions of both
-    proofs are discharged through it (cache, portfolio, parallel scheduler);
-    otherwise the classic serial path on ``solver`` is used.  ``solver`` is
-    always used for the relational prover's convergence checks, which happen
-    during proof construction rather than discharge.
+    The side conditions of both proofs are discharged through one
+    obligation engine (verdict store, portfolio, scheduler): the supplied
+    ``engine``, or a fresh in-memory one per :meth:`verify` call.  ``solver``
+    is used only for the relational prover's convergence checks, which
+    happen during proof construction rather than discharge.
     """
 
     def __init__(
@@ -208,17 +208,23 @@ class AcceptabilityVerifier:
         study: str = "",
         sites: tuple = (),
     ) -> AcceptabilityReport:
-        collected = self.collect(program, spec, study=study, sites=sites)
-        original_report = discharge(
-            collected.original, self.solver, program.name, engine=self.engine
+        return self.discharge_collected(
+            self.collect(program, spec, study=study, sites=sites)
         )
-        relaxed_report = discharge(
-            collected.relaxed, self.solver, program.name, engine=self.engine
-        )
+
+    def discharge_collected(self, collected: CollectedAcceptability) -> AcceptabilityReport:
+        """Discharge both layers of ``collected`` through one engine."""
+        engine = self.engine
+        if engine is None:
+            # Imported lazily: the engine package imports the hoare layer.
+            from ..engine.core import ObligationEngine
+
+            engine = ObligationEngine()
+        name = collected.program_name
         return AcceptabilityReport(
-            program_name=program.name,
-            original=original_report,
-            relaxed=relaxed_report,
+            program_name=name,
+            original=discharge(collected.original, name, engine=engine),
+            relaxed=discharge(collected.relaxed, name, engine=engine),
         )
 
     # -- helpers -----------------------------------------------------------------

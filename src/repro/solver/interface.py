@@ -105,10 +105,10 @@ class SolverStatistics:
     #: DNF cubes the cube solver's bound box refuted before any case split
     #: or Fourier–Motzkin step (on every backend).
     prefiltered_cubes: int = 0
-    #: Wall-clock seconds attributed to each portfolio strategy (the
-    #: serial engine path books under ``"serial"``).  ``total_seconds``
-    #: stays the whole-solver total; this is its per-strategy breakdown,
-    #: so the portfolio win table has matching timing columns.
+    #: Wall-clock seconds attributed to each portfolio strategy.
+    #: ``total_seconds`` stays the whole-solver total; this is its
+    #: per-strategy breakdown, so the portfolio win table has matching
+    #: timing columns.
     strategy_seconds: Dict[str, float] = field(default_factory=dict)
 
     def add_strategy_seconds(self, name: str, seconds: float) -> None:

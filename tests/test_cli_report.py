@@ -79,7 +79,10 @@ class TestReportPayload:
 
     def test_existing_counters_are_not_overwritten(self):
         class FakeEngine:
-            cache = None
+            class cache:  # noqa: N801 - attribute-style stub
+                @staticmethod
+                def stats():
+                    return {"hits": 99}
 
             class statistics:  # noqa: N801 - attribute-style stub
                 @staticmethod
@@ -93,11 +96,16 @@ class TestReportPayload:
 
         payload = report_payload(
             "verify-batch",
-            {"engine": {"obligations": 7}, "solver": {"cube_count": 7}},
+            {
+                "engine": {"obligations": 7},
+                "solver": {"cube_count": 7},
+                "cache": {"hits": 7},
+            },
             verified=True,
             engine=FakeEngine(),
         )
         assert payload["engine"] == {"obligations": 7}
+        assert payload["cache"] == {"hits": 7}
         # Caller-supplied counters win, but the resolved backend is always
         # stamped so every schema-4 report is self-describing.
         assert payload["solver"] == {"cube_count": 7, "backend": active_backend()}

@@ -107,6 +107,20 @@ class TestUnknownReasonSurfacing:
         assert unknowns[0].reason, "UNKNOWN must surface the solver's reason"
         assert unknowns[0].reason in render_diagnostics(report.diagnostics)
 
+    def test_unknown_reason_keeps_the_strongest_attempt(self):
+        # Every strategy gives up on swish + knob:N:f1; the reason must not
+        # hide `full`'s 4096-cube attempt behind the last strategy's.
+        report = explain_case_study(
+            "swish-dynamic-knobs", ["knob:N:f1"], engine=ObligationEngine()
+        )
+        unknowns = [d for d in report.diagnostics if d.status == "unknown"]
+        assert unknowns
+        reason = unknowns[0].reason
+        assert "full:" in reason and "4096" in reason
+        assert reason.index("cube-fast:") < reason.index("full:") < reason.index(
+            "bounded-probe:"
+        )
+
     def test_reason_reaches_layer_summary_and_json(self):
         program = _broken_program()
         verifier = AcceptabilityVerifier()
@@ -160,7 +174,7 @@ class TestProvenanceEverywhere:
 
     def test_provenance_survives_jobs_worker_roundtrip(self):
         program = _broken_program()
-        engine = ObligationEngine.for_batch(jobs=2)
+        engine = ObligationEngine(jobs=2)
         report = AcceptabilityVerifier(engine=engine).verify(
             program, AcceptabilitySpec()
         )
@@ -200,12 +214,12 @@ class TestModelCacheRoundTrip:
         assert tags == {Tag.ORIGINAL, Tag.RELAXED, None}
 
     def test_explain_replays_model_from_warm_cache(self, tmp_path):
-        cold_engine = ObligationEngine.for_batch(cache_dir=str(tmp_path))
+        cold_engine = ObligationEngine(cache_dir=str(tmp_path))
         cold = explain_case_study("lu", ["knob:N:f1"], engine=cold_engine)
         cold_engine.save()
         assert cold.diagnostics and cold.diagnostics[0].model
 
-        warm_engine = ObligationEngine.for_batch(cache_dir=str(tmp_path))
+        warm_engine = ObligationEngine(cache_dir=str(tmp_path))
         warm = explain_case_study("lu", ["knob:N:f1"], engine=warm_engine)
         assert warm_engine.statistics.as_dict()["solver_calls"] == 0
         assert warm.diagnostics

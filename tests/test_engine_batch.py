@@ -2,7 +2,7 @@
 
 The acceptance bar for the engine: warm-cache batch re-verification of the
 case studies issues zero solver calls, and batch/parallel verdicts are
-identical to the serial per-program path.
+identical to the per-program `CaseStudy.verify()` path.
 """
 
 import json
@@ -21,7 +21,7 @@ from repro.engine import (
 
 @pytest.fixture(scope="module")
 def serial_reports():
-    """The classic serial per-program verdicts, as ground truth."""
+    """The per-program `CaseStudy.verify()` verdicts, as ground truth."""
     return {cls().name: cls().verify() for cls in all_case_studies()}
 
 
@@ -71,6 +71,21 @@ class TestBatchVerification:
                     r.status for r in serial_layer.results
                 ]
 
+    @pytest.mark.parametrize("study_cls", all_case_studies(), ids=lambda cls: cls.name)
+    def test_single_study_and_batch_paths_agree(self, study_cls):
+        # CaseStudy.verify() and a one-study batch share one discharge path:
+        # same verdict and same counterexample for every obligation.
+        def outcomes(report):
+            return [
+                (r.status, r.counterexample)
+                for layer in (report.original, report.relaxed)
+                for r in layer.results
+            ]
+
+        direct = study_cls().verify()
+        (batched,) = verify_batch(case_study_items([study_cls().name])).programs
+        assert outcomes(direct) == outcomes(batched.report)
+
     def test_parallel_batch_matches_serial_verdicts(self, serial_reports):
         engine = ObligationEngine(jobs=2)
         report = verify_batch(case_study_items(), engine=engine)
@@ -83,12 +98,12 @@ class TestBatchVerification:
                 ]
 
     def test_warm_cache_issues_zero_solver_calls(self, tmp_path):
-        cold = ObligationEngine.for_batch(cache_dir=str(tmp_path))
+        cold = ObligationEngine(cache_dir=str(tmp_path))
         cold_report = verify_batch(case_study_items(), engine=cold)
         assert cold_report.all_verified
         assert cold.statistics.solver_calls > 0
 
-        warm = ObligationEngine.for_batch(cache_dir=str(tmp_path))
+        warm = ObligationEngine(cache_dir=str(tmp_path))
         warm_report = verify_batch(case_study_items(), engine=warm)
         assert warm_report.all_verified
         assert warm.statistics.solver_calls == 0
@@ -105,7 +120,7 @@ class TestBatchVerification:
         # answered from the in-memory cache within a single batch.
         (tmp_path / "one.rlx").write_text("vars x; x = 1; assert x > 0;")
         (tmp_path / "two.rlx").write_text("vars x; x = 1; assert x > 0;")
-        engine = ObligationEngine.for_batch()
+        engine = ObligationEngine()
         report = verify_batch(directory_items(str(tmp_path)), engine=engine)
         assert report.all_verified
         assert engine.statistics.dedup_hits >= 1
@@ -129,10 +144,6 @@ class TestBatchVerification:
         assert main(["verify-batch", "--dir", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "ERROR" in out and "good" in out
-
-    def test_budget_implies_portfolio_path(self):
-        engine = ObligationEngine(budget_seconds=30.0)
-        assert engine.portfolio is not None
 
     def test_unverifiable_program_reports_not_verified(self, tmp_path):
         (tmp_path / "bad.rlx").write_text("vars x; assert x > 0;")

@@ -8,7 +8,6 @@ import pytest
 from repro.engine.cache import ObligationCache, _symbol_from_str, _symbol_to_str
 from repro.engine.core import ObligationEngine
 from repro.engine.fingerprint import fingerprint
-from repro.engine.portfolio import Portfolio
 from repro.hoare.obligations import ObligationCollector, ObligationKind, ProofSystem
 from repro.logic.formula import Symbol, Tag, gt, implies, var
 from repro.solver.lia import Status
@@ -112,10 +111,10 @@ def _obligations(count):
 
 def _warm_engine(cache_dir):
     """An engine over a store whose persistent tier holds VALID_FORMULA from disk."""
-    cold = ObligationEngine(cache=ObligationCache(cache_dir=cache_dir), portfolio=Portfolio())
+    cold = ObligationEngine(cache_dir=cache_dir)
     cold.discharge_all(_obligations(1))
     cold.save()
-    return ObligationEngine(cache=ObligationCache(cache_dir=cache_dir), portfolio=Portfolio())
+    return ObligationEngine(cache_dir=cache_dir)
 
 
 class TestTieredStore:

@@ -2,19 +2,17 @@
 
 The key invariants:
 
-* the engine's serial default reproduces the seed's discharge loop (same
-  verdicts, same solver statistics accounting);
+* every engine — the argument-free one included — fingerprints, dedups,
+  stores and runs the portfolio (there is one discharge path);
 * store hits replay the original verdict without any solver call; the
   session tier replays ``UNKNOWN`` within one engine, but ``UNKNOWN`` never
   enters the persistent tier (budget exhaustion cannot masquerade as a
   proof in a later run);
-* parallel and portfolio discharge produce verdicts identical to the serial
-  path.
+* parallel discharge produces verdicts identical to in-process discharge.
 """
 
 import pytest
 
-from repro.engine.cache import ObligationCache
 from repro.engine.core import ObligationEngine
 from repro.engine.portfolio import (
     DEFAULT_STRATEGIES,
@@ -31,7 +29,6 @@ from repro.hoare.obligations import (
 from repro.hoare.unary import prove_original
 from repro.lang import builder as b
 from repro.logic.formula import conj, eq, exists, ge, gt, implies, le, lt, sym, var
-from repro.solver.interface import Solver
 from repro.solver.lia import Status
 
 
@@ -78,6 +75,37 @@ class TestPortfolio:
         fresh = Portfolio()
         assert fresh.load(str(tmp_path))
         assert fresh.wins["validity"]["full"] == 3
+
+    def test_unknown_reason_names_every_attempted_strategy(self):
+        # x*x == 2 is beyond the linear procedures; without the bounded
+        # fallback no strategy can settle it.
+        strategies = (
+            SolverStrategy("first", enable_bounded_fallback=False),
+            SolverStrategy("second", enable_bounded_fallback=False),
+        )
+        result, winner, attempts = run_portfolio(
+            eq(var("x") * var("x"), 2), "satisfiability", strategies
+        )
+        assert result.status is Status.UNKNOWN
+        assert (winner, attempts) == ("", 2)
+        first, second = result.reason.split("; ")
+        assert first.startswith("first: ") and len(first) > len("first: ")
+        assert second.startswith("second: ") and len(second) > len("second: ")
+
+    def test_budget_reason_keeps_the_attempted_reasons(self):
+        strategies = (
+            SolverStrategy("first", enable_bounded_fallback=False),
+            SolverStrategy("second", enable_bounded_fallback=False),
+        )
+        result, winner, attempts = run_portfolio(
+            eq(var("x") * var("x"), 2), "satisfiability", strategies, budget_seconds=0.0
+        )
+        assert result.status is Status.UNKNOWN
+        assert (winner, attempts) == ("", 1)
+        assert result.reason.startswith(
+            "per-obligation budget of 0s exhausted after 1 strategies (first: "
+        )
+        assert "second" not in result.reason
 
     def test_duplicate_strategy_names_rejected(self):
         with pytest.raises(ValueError):
@@ -135,27 +163,8 @@ class TestScheduler:
 
 
 class TestSolverStatisticsAggregation:
-    def test_serial_engine_aggregates_solver_counters(self):
-        engine = ObligationEngine()
-        collector = _collector((VALID_FORMULA, ObligationKind.VALIDITY))
-        engine.discharge_all(collector.obligations)
-        stats = engine.solver_statistics.as_dict()
-        assert stats["validity_queries"] == 1
-        assert stats["total_seconds"] > 0
-
-    def test_serial_delta_excludes_outside_queries(self):
-        solver = Solver()
-        solver.check_sat(SAT_FORMULA)  # made by the caller, not the engine
-        engine = ObligationEngine(solver=solver)
-        collector = _collector((VALID_FORMULA, ObligationKind.VALIDITY))
-        engine.discharge_all(collector.obligations)
-        stats = engine.solver_statistics.as_dict()
-        # One validity query implies one inner sat query — not two.
-        assert stats["sat_queries"] == 1
-        assert stats["validity_queries"] == 1
-
     def test_portfolio_engine_aggregates_worker_counters(self):
-        engine = ObligationEngine(jobs=2, portfolio=Portfolio())
+        engine = ObligationEngine(jobs=2)
         collector = _collector(
             (VALID_FORMULA, ObligationKind.VALIDITY),
             (SAT_FORMULA, ObligationKind.SATISFIABILITY),
@@ -166,28 +175,30 @@ class TestSolverStatisticsAggregation:
         assert engine.stats()["solver"] == stats
 
 
-class TestEngineSerialParity:
-    def test_default_engine_matches_seed_loop(self):
+class TestDefaultEngine:
+    def test_argument_free_engine_takes_the_one_discharge_path(self):
         collector = _collector(
             (VALID_FORMULA, ObligationKind.VALIDITY),
             (SAT_FORMULA, ObligationKind.SATISFIABILITY),
-            (INVALID_FORMULA, ObligationKind.VALIDITY),
+            (VALID_FORMULA, ObligationKind.VALIDITY),
         )
-        solver = Solver()
-        report = ObligationEngine(solver=solver).discharge_collected(collector, "demo")
-        assert [result.status for result in report.results] == [
-            Status.VALID,
-            Status.SAT,
-            Status.INVALID,
-        ]
-        assert not report.verified  # the INVALID obligation is undischarged
-        # The shared solver's statistics keep accumulating, as in the seed.
-        assert solver.statistics.validity_queries == 2
-        assert solver.statistics.sat_queries >= 3  # check_valid negates into check_sat
+        engine = ObligationEngine()
+        results, keys, _reused = engine.discharge_wave(collector.obligations)
+        assert [r.status for r in results] == [Status.VALID, Status.SAT, Status.VALID]
+        # Every obligation is fingerprinted; the duplicate is answered by
+        # its representative instead of a second solver run.
+        assert all(keys) and keys[0] == keys[2] != keys[1]
+        assert engine.statistics.dedup_hits == 1
+        assert engine.statistics.solver_calls == 2
+        assert engine.cache.session_entries == 2
+        assert sum(engine.portfolio.wins.get("validity", {}).values()) == 1
+        strategy_seconds = engine.solver_statistics.strategy_seconds
+        assert "serial" not in strategy_seconds
+        assert set(strategy_seconds) <= {s.name for s in DEFAULT_STRATEGIES}
 
     def test_prove_original_accepts_engine(self):
         program = b.program("inc", b.assign("x", b.add(b.v("x"), 1)), variables=("x",))
-        engine = ObligationEngine(cache=ObligationCache(), portfolio=Portfolio())
+        engine = ObligationEngine()
         report = prove_original(program, ge(var("x"), 0), ge(var("x"), 1), engine=engine)
         assert report.verified
         assert engine.statistics.obligations == 1
@@ -199,7 +210,7 @@ class TestEngineCaching:
             (VALID_FORMULA, ObligationKind.VALIDITY),
             (INVALID_FORMULA, ObligationKind.VALIDITY),
         )
-        engine = ObligationEngine(cache=ObligationCache(), portfolio=Portfolio())
+        engine = ObligationEngine()
         first = engine.discharge_all(collector.obligations)
         calls_after_first = engine.statistics.solver_calls
         second = engine.discharge_all(collector.obligations)
@@ -213,7 +224,7 @@ class TestEngineCaching:
     def test_alpha_equivalent_obligation_hits(self):
         left = _collector((exists(sym("x"), gt(var("x"), 0)), ObligationKind.SATISFIABILITY))
         right = _collector((exists(sym("y"), gt(var("y"), 0)), ObligationKind.SATISFIABILITY))
-        engine = ObligationEngine(cache=ObligationCache(), portfolio=Portfolio())
+        engine = ObligationEngine()
         engine.discharge_all(left.obligations)
         engine.discharge_all(right.obligations)
         assert engine.statistics.incremental_reused == 1
@@ -225,7 +236,7 @@ class TestEngineCaching:
 
         def engine():
             return ObligationEngine(
-                cache=ObligationCache(cache_dir=str(tmp_path)),
+                cache_dir=str(tmp_path),
                 portfolio=Portfolio(
                     [SolverStrategy("no-fallback", enable_bounded_fallback=False)]
                 ),
@@ -254,7 +265,7 @@ class TestEngineCaching:
             (SAT_FORMULA, ObligationKind.SATISFIABILITY),
             (SAT_FORMULA, ObligationKind.VALIDITY),
         )
-        engine = ObligationEngine(cache=ObligationCache(), portfolio=Portfolio())
+        engine = ObligationEngine()
         results = engine.discharge_all(collector.obligations)
         assert results[0].status is Status.SAT
         # x in [0, 10] is satisfiable but certainly not valid.
@@ -263,10 +274,10 @@ class TestEngineCaching:
 
     def test_persistent_cache_across_engines(self, tmp_path):
         collector = _collector((VALID_FORMULA, ObligationKind.VALIDITY))
-        first = ObligationEngine.for_batch(cache_dir=str(tmp_path))
+        first = ObligationEngine(cache_dir=str(tmp_path))
         first.discharge_all(collector.obligations)
         first.save()
-        second = ObligationEngine.for_batch(cache_dir=str(tmp_path))
+        second = ObligationEngine(cache_dir=str(tmp_path))
         results = second.discharge_all(collector.obligations)
         assert results[0].status is Status.VALID
         assert second.statistics.solver_calls == 0
@@ -281,9 +292,16 @@ class TestEngineParallel:
             (UNSAT_FORMULA, ObligationKind.SATISFIABILITY),
             (INVALID_FORMULA, ObligationKind.VALIDITY),
         )
-        serial = ObligationEngine(solver=Solver()).discharge_all(collector.obligations)
+        serial = ObligationEngine().discharge_all(collector.obligations)
         parallel = ObligationEngine(jobs=2).discharge_all(collector.obligations)
+        assert [r.status for r in serial] == [
+            Status.VALID,
+            Status.SAT,
+            Status.UNSAT,
+            Status.INVALID,
+        ]
         assert [r.status for r in serial] == [r.status for r in parallel]
+        assert [r.counterexample for r in serial] == [r.counterexample for r in parallel]
 
     def test_portfolio_path_dedupes_without_a_cache(self):
         collector = _collector(
@@ -291,28 +309,16 @@ class TestEngineParallel:
             (VALID_FORMULA, ObligationKind.VALIDITY),
             (VALID_FORMULA, ObligationKind.VALIDITY),
         )
-        engine = ObligationEngine(cache=None, portfolio=Portfolio())
+        # No cache directory: in-wave dedup needs no persistent tier.
+        engine = ObligationEngine()
         results = engine.discharge_all(collector.obligations)
         assert [r.status for r in results] == [Status.VALID] * 3
         assert engine.statistics.solver_calls == 1
         assert engine.statistics.dedup_hits == 2
 
-    def test_plain_serial_path_does_not_dedupe(self):
-        # Seed parity: without cache or portfolio every obligation gets its
-        # own solver call, duplicates included.
-        collector = _collector(
-            (VALID_FORMULA, ObligationKind.VALIDITY),
-            (VALID_FORMULA, ObligationKind.VALIDITY),
-        )
-        solver = Solver()
-        engine = ObligationEngine(solver=solver)
-        engine.discharge_all(collector.obligations)
-        assert solver.statistics.validity_queries == 2
-        assert engine.statistics.dedup_hits == 0
-
     def test_portfolio_wins_are_recorded(self):
         collector = _collector((VALID_FORMULA, ObligationKind.VALIDITY))
-        engine = ObligationEngine(jobs=1, portfolio=Portfolio())
+        engine = ObligationEngine(jobs=1)
         engine.discharge_all(collector.obligations)
         assert sum(engine.portfolio.wins.get("validity", {}).values()) == 1
 

@@ -345,7 +345,7 @@ class TestEngineIntegration:
     def _run(self, jobs, tmp_path):
         from repro.engine import ObligationEngine, case_study_items, verify_batch
 
-        engine = ObligationEngine.for_batch(
+        engine = ObligationEngine(
             jobs=jobs, cache_dir=str(tmp_path / f"cache-{jobs}")
         )
         session = telemetry.install(TelemetrySession())
