@@ -477,13 +477,10 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
 
 
 def cmd_effort(args: argparse.Namespace) -> int:
-    from .engine import ObligationEngine
-
-    engine = ObligationEngine()
     rows = []
     for cls in all_case_studies():
         case_study = cls()
-        report = case_study.verify(engine=engine)
+        report = case_study.verify()
         rows.extend(effort_rows(case_study.name, report, case_study.paper_proof_lines))
     print(format_effort_table(rows))
     return 0

@@ -17,10 +17,14 @@ from repro.engine import (
     directory_items,
     verify_batch,
 )
+from repro.engine.portfolio import Portfolio, SolverStrategy
+from repro.hoare.obligations import ObligationCollector, ObligationKind, ProofSystem
+from repro.logic.formula import eq, var
+from repro.solver.lia import Status
 
 
 @pytest.fixture(scope="module")
-def serial_reports():
+def direct_reports():
     """The per-program `CaseStudy.verify()` verdicts, as ground truth."""
     return {cls().name: cls().verify() for cls in all_case_studies()}
 
@@ -55,46 +59,33 @@ class TestBatchItems:
 
 
 class TestBatchVerification:
-    def test_batch_matches_serial_verdicts(self, serial_reports):
+    def test_batch_matches_serial_verdicts(self, direct_reports):
         report = verify_batch(case_study_items())
         assert report.all_verified
-        assert len(report.programs) == len(serial_reports)
+        assert len(report.programs) == len(direct_reports)
         for result in report.programs:
-            serial = serial_reports[result.name]
-            assert result.verified == serial.verified
-            assert result.report.guarantees() == serial.guarantees()
+            direct = direct_reports[result.name]
+            assert result.verified == direct.verified
+            assert result.report.guarantees() == direct.guarantees()
             for layer in ("original", "relaxed"):
                 batch_layer = getattr(result.report, layer)
-                serial_layer = getattr(serial, layer)
-                assert len(batch_layer.results) == len(serial_layer.results)
-                assert [r.status for r in batch_layer.results] == [
-                    r.status for r in serial_layer.results
+                direct_layer = getattr(direct, layer)
+                assert len(batch_layer.results) == len(direct_layer.results)
+                # Same discharge path: same verdict and same counterexample
+                # for every obligation.
+                assert [(r.status, r.counterexample) for r in batch_layer.results] == [
+                    (r.status, r.counterexample) for r in direct_layer.results
                 ]
 
-    @pytest.mark.parametrize("study_cls", all_case_studies(), ids=lambda cls: cls.name)
-    def test_single_study_and_batch_paths_agree(self, study_cls):
-        # CaseStudy.verify() and a one-study batch share one discharge path:
-        # same verdict and same counterexample for every obligation.
-        def outcomes(report):
-            return [
-                (r.status, r.counterexample)
-                for layer in (report.original, report.relaxed)
-                for r in layer.results
-            ]
-
-        direct = study_cls().verify()
-        (batched,) = verify_batch(case_study_items([study_cls().name])).programs
-        assert outcomes(direct) == outcomes(batched.report)
-
-    def test_parallel_batch_matches_serial_verdicts(self, serial_reports):
+    def test_parallel_batch_matches_serial_verdicts(self, direct_reports):
         engine = ObligationEngine(jobs=2)
         report = verify_batch(case_study_items(), engine=engine)
         assert report.all_verified
         for result in report.programs:
-            serial = serial_reports[result.name]
+            direct = direct_reports[result.name]
             for layer in ("original", "relaxed"):
                 assert [r.status for r in getattr(result.report, layer).results] == [
-                    r.status for r in getattr(serial, layer).results
+                    r.status for r in getattr(direct, layer).results
                 ]
 
     def test_warm_cache_issues_zero_solver_calls(self, tmp_path):
@@ -144,6 +135,30 @@ class TestBatchVerification:
         assert main(["verify-batch", "--dir", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "ERROR" in out and "good" in out
+
+    def test_budget_implies_portfolio_path(self):
+        # The engine's per-obligation budget reaches the portfolio run: a
+        # zero budget stops after the first inconclusive strategy.
+        engine = ObligationEngine(
+            budget_seconds=0.0,
+            portfolio=Portfolio(
+                [
+                    SolverStrategy("a", enable_bounded_fallback=False),
+                    SolverStrategy("b", enable_bounded_fallback=False),
+                ]
+            ),
+        )
+        collector = ObligationCollector(ProofSystem.ORIGINAL)
+        collector.add(
+            eq(var("x") * var("x"), 2),
+            ObligationKind.SATISFIABILITY,
+            rule="nonlinear",
+            description="x*x == 2",
+        )
+        (result,) = engine.discharge_all(collector.obligations)
+        assert result.status is Status.UNKNOWN
+        assert result.reason.startswith("per-obligation budget")
+        assert engine.statistics.strategy_attempts == 1
 
     def test_unverifiable_program_reports_not_verified(self, tmp_path):
         (tmp_path / "bad.rlx").write_text("vars x; assert x > 0;")
